@@ -4,18 +4,18 @@ Runs the ``defended_hammer`` harness scenario -- ``HammerDriver``
 double-sided TRH-burst campaigns against templated victim bits -- once
 per defense on the scalar reference engine (``engine="scalar"``: one
 Python ``execute()``, one ``on_activate`` dispatch, one
-``RequestResult`` per activation), once on the bulk engine
-(``engine="bulk"``: run-length requests, defense-planned chunks,
-summary-mode accounting), and once on the event-driven fast-forward
-engine (``engine="events"``: fused multi-tick epochs), and records the
-per-defense wall-clocks.
+``RequestResult`` per activation) and once on the bulk engine
+(``engine="bulk"``: run-length requests, defense-planned chunks or
+fused multi-tick epochs, summary-mode accounting), and records the
+per-defense wall-clocks.  ``engine="events"`` runs the same controller
+code as ``bulk``, so it gets no column of its own.
 
-All three engines must produce **identical scenario payloads** (same
-flip outcomes, issued/blocked tallies, memory stats bit-for-bit, same
+Both engines must produce **identical scenario payloads** (same flip
+outcomes, issued/blocked tallies, memory stats bit-for-bit, same
 mitigation accounting); the recorder refuses to write an artifact
 otherwise.  The ``DRAM-Locker`` cell exercises the blocked-run summary
-path; ``None`` is the undefended baseline (and the cell where the
-events engine's cross-tick fusion applies in full).
+path; ``None`` is the undefended baseline (and a cell where cross-tick
+fusion applies in full).
 
 Run with:  python benchmarks/bench_defended_hammer.py [--trh N]
 """
@@ -109,20 +109,14 @@ def main(argv: list[str] | None = None) -> int:
         bulk_s, bulk_payload = _run_cell(
             defense, "bulk", args.trh, args.repeats
         )
-        events_s, events_payload = _run_cell(
-            defense, "events", args.trh, args.repeats
+        identical = _strip_engine(scalar_payload) == _strip_engine(
+            bulk_payload
         )
-        reference = _strip_engine(scalar_payload)
-        identical = reference == _strip_engine(bulk_payload)
-        events_identical = reference == _strip_engine(events_payload)
         cell = {
             "scalar_s": round(scalar_s, 4),
             "bulk_s": round(bulk_s, 4),
-            "events_s": round(events_s, 4),
             "speedup": round(scalar_s / bulk_s, 2),
-            "events_speedup": round(scalar_s / events_s, 2),
             "results_identical": identical,
-            "events_identical": events_identical,
             "flipped": bulk_payload["protected_bits_flipped"],
             "blocked": sum(o["blocked"] for o in bulk_payload["outcomes"]),
         }
@@ -130,14 +124,11 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{defense:12s} scalar {scalar_s * 1e3:8.1f}ms  "
             f"bulk {bulk_s * 1e3:8.1f}ms  ({cell['speedup']:5.2f}x)  "
-            f"events {events_s * 1e3:8.1f}ms  "
-            f"({cell['events_speedup']:5.2f}x)  "
-            f"identical={identical and events_identical}"
+            f"identical={identical}"
         )
-        if not identical or not events_identical:
-            diverged = "bulk" if not identical else "events"
+        if not identical:
             raise SystemExit(
-                f"{defense}: {diverged} engine diverged from the scalar "
+                f"{defense}: bulk engine diverged from the scalar "
                 "reference; refusing to record"
             )
 

@@ -41,12 +41,14 @@ Execution engines and APIs:
 ``engine="scalar"`` at construction keeps every path on the reference
 loop (the discipline shared with ``repro.nn.functional.contract`` and
 the suffix-forward search engine: the fast path is only used where
-equivalence is pinned).  ``engine="events"`` goes one layer further:
-ACT runs are executed by the event-driven fast-forward core
-(:mod:`repro.controller.events`), which leaps refresh ticks inside one
-fused ``np.add.accumulate`` epoch instead of dropping to a scalar step
-at every tick -- still bit-identical to both reference engines (the
-scalar ⊂ bulk ⊂ events contract ``docs/ARCHITECTURE.md`` documents).
+equivalence is pinned).  ``engine="bulk"`` and ``engine="events"`` run
+the same fast path; ``"events"`` only changes how the serving layer
+schedules streams across channels (:mod:`repro.controller.events`).
+Where the defense plan allows it (``RunAction.fuse_ticks``, or no
+defense installed), ACT runs commit whole multi-tick epochs in one
+fused ``np.add.accumulate`` pass instead of dropping to a scalar step
+at every refresh tick -- still bit-identical to the scalar reference
+(the contract ``docs/ARCHITECTURE.md`` documents).
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from ..dram.device import DRAMDevice
 from ..engines import EXECUTION_ENGINES, resolve_engine
 from ..dram.stats import walk_add_many
 from ..locker.lock_table import LOCK_LOOKUP_NS
-from . import events as events_core
 from .request import (
     Kind,
     MemRequest,
@@ -83,14 +84,19 @@ __all__ = [
     "LOCK_LOOKUP_NS",
 ]
 
-#: The execution engines a controller can be built with, equivalence-
-#: ordered: ``scalar`` is the reference loop, ``bulk`` chunks quiet ACT
-#: runs between scalar boundaries, ``events`` fast-forwards whole
-#: multi-tick epochs (see :mod:`repro.controller.events`).  All three
-#: produce bit-identical payloads.  Canonically defined in
-#: :mod:`repro.engines`; re-exported here under the controller's
-#: historical name.
+#: The execution engines a controller can be built with: ``scalar`` is
+#: the reference loop; ``bulk`` and ``events`` share the fast ACT-run
+#: path (``events`` differs only in the serving layer's cross-channel
+#: scheduling).  All three produce bit-identical payloads.  Canonically
+#: defined in :mod:`repro.engines`; re-exported here under the
+#: controller's historical name.
 ENGINES = EXECUTION_ENGINES
+
+#: Upper bound on one fused epoch's accumulate buffer (6 float64 rows of
+#: ``cap + 1`` columns, ~3 MB): million-ACT runs split at cap
+#: boundaries, which is fold-safe (the scalar addition order is a
+#: concatenation of the per-epoch folds).
+EPOCH_CAP = 1 << 16
 
 
 class _ListSink:
@@ -412,9 +418,8 @@ class MemoryController:
 
     def _drain(self, requests: Sequence[MemRequest], sink) -> None:
         """Feed a request stream through ``sink`` via the configured
-        engine, finding bulkable ACT runs when ``engine`` is ``'bulk'``
-        or ``'events'`` (the engines differ only in how those runs are
-        committed; everything else shares the scalar path)."""
+        engine, finding bulkable ACT runs unless ``engine`` is
+        ``'scalar'`` (everything else shares the scalar path)."""
         if self.engine == "scalar":
             if isinstance(requests, RequestRun):
                 request = requests.request
@@ -424,17 +429,12 @@ class MemoryController:
                 for request in requests:
                     sink.add(self.execute(request))
             return
-        act_run = (
-            self._execute_act_run_events
-            if self.engine == "events"
-            else self._execute_act_run
-        )
         if isinstance(requests, RequestRun):
             # Run-length input: the whole stream is one known run, no
             # per-element scan needed.
             total = len(requests)
             if total > 1 and requests.request.kind is Kind.ACT:
-                act_run(requests, 0, total, sink)
+                self._drain_act_run(requests, 0, total, sink)
             else:
                 for index in range(total):
                     sink.add(self.execute(requests.request))
@@ -458,25 +458,13 @@ class MemoryController:
                         break
                     end += 1
                 if end - index > 1:
-                    act_run(requests, index, end, sink)
+                    self._drain_act_run(requests, index, end, sink)
                     index = end
                     continue
             sink.add(self.execute(request))
             index += 1
 
-    def _execute_act_run_events(
-        self,
-        requests: Sequence[MemRequest],
-        start: int,
-        end: int,
-        sink,
-    ) -> None:
-        """The ``engine="events"`` ACT-run executor: the fast-forward
-        core of :mod:`repro.controller.events`, which fuses whole
-        multi-tick epochs into one accumulate pass."""
-        events_core.execute_act_run(self, requests, start, end, sink)
-
-    def _execute_act_run(
+    def _drain_act_run(
         self,
         requests: Sequence[MemRequest],
         start: int,
@@ -484,9 +472,16 @@ class MemoryController:
         sink,
     ) -> None:
         """Drain ``requests[start:end]`` -- identical ACTs of one row --
-        alternating exact bulk chunks with scalar steps at every point
-        where a refresh tick, threshold crossing, locker deadline, or
-        defense event could change the outcome."""
+        alternating exact bulk commits with scalar steps at every point
+        where a threshold crossing, locker deadline, or defense event
+        could change the outcome.
+
+        The defense plans each span once (``plan_activate_run``).  A
+        span whose plan may cross refresh ticks (``plan.fuse_ticks``,
+        or no defense installed) commits as one fused multi-tick epoch
+        (:meth:`_fused_epoch`); any other span commits as one
+        tick-bounded :meth:`_bulk_acts` chunk, so the defense sees the
+        boundary ACT of every refresh tick on the scalar path."""
         device = self.device
         refresh = device.refresh
         rowhammer = device.rowhammer
@@ -528,6 +523,7 @@ class MemoryController:
             # ahead it stays uniform.  Non-opted-in defenses (plan is
             # None) keep the request-at-a-time scalar path.
             defense_extra = 0.0
+            fuse_ticks = True
             limit = min(end - index, pending_bound)
             if defense is not None:
                 physical = defense.translate(physical)
@@ -538,25 +534,170 @@ class MemoryController:
                     continue
                 limit = min(limit, plan.count)
                 defense_extra = plan.extra_ns
+                fuse_ticks = plan.fuse_ticks
 
             extra_ns = lock_ns + defense_extra  # the scalar fold order
             step_ns = trc + extra_ns
-            # One-step safety margin keeps every refresh tick and every
-            # threshold crossing on the scalar path.
-            count = min(
-                limit,
-                refresh.quiet_steps(device.now_ns, step_ns),
-                rowhammer.quiet_span(physical),
-            )
+            if fuse_ticks:
+                count = self._fused_epoch(
+                    requests, index, physical, lookup_hit, extra_ns,
+                    step_ns, limit, sink,
+                )
+            else:
+                # One-step safety margin keeps every refresh tick and
+                # every threshold crossing on the scalar path.
+                count = min(
+                    limit,
+                    refresh.quiet_steps(device.now_ns, step_ns),
+                    rowhammer.quiet_span(physical),
+                )
+                if count > 0:
+                    self._bulk_acts(
+                        requests, index, count, physical, lookup_hit,
+                        extra_ns, step_ns, sink,
+                    )
             if count <= 0:
                 sink.add(self.execute(requests[index]))
                 index += 1
                 continue
+            index += count
+
+    def _fused_epoch(
+        self,
+        requests: Sequence[MemRequest],
+        start: int,
+        physical: int,
+        lookup_hit: bool,
+        extra_ns: float,
+        step_ns: float,
+        limit: int,
+        sink,
+    ) -> int:
+        """Commit up to ``limit`` quiet ACTs of ``physical`` in one pass.
+
+        Unlike :meth:`_bulk_acts`, the epoch may span refresh ticks: the
+        tick steps are located exactly (by searching the accumulated
+        clock column for ``next_ref_ns``, the same comparison the scalar
+        ``advance`` performs on the same folded values) and fired in
+        place, so the REF walker, the hammer counters, and every energy
+        accumulator evolve bit-identically to the scalar loop.  The
+        epoch stops *before* a TRH crossing -- the crossing ACT itself
+        runs scalar so flips land with the exact folded timestamp.
+
+        Returns the number of ACTs committed (0 means the very next ACT
+        is a boundary and must take the scalar path).  The caller
+        guarantees no locker deadline and no defense event falls inside
+        ``limit`` steps, and that the defense does no refresh-window
+        work (``RunAction.fuse_ticks``).
+        """
+        device = self.device
+        refresh = device.refresh
+        rowhammer = device.rowhammer
+        limit = min(limit, EPOCH_CAP)
+
+        # Fast path: no event inside the whole epoch -- a plain bulk
+        # chunk, no accumulate buffer needed.
+        quiet = min(
+            refresh.quiet_steps(device.now_ns, step_ns),
+            rowhammer.quiet_span(physical),
+        )
+        if quiet >= limit:
+            tel = obs.ACTIVE
+            if tel is not None:
+                tel.metrics.inc("controller.epoch_leaps", engine=self.engine)
             self._bulk_acts(
-                requests, index, count, physical, lookup_hit, extra_ns,
+                requests, start, limit, physical, lookup_hit, extra_ns,
                 step_ns, sink,
             )
-            index += count
+            return limit
+
+        stats = device.stats
+        breakdown = stats.energy
+        energy = device.energy
+        trc = device.timing.trc
+        now_start = device.now_ns
+
+        # One strict sequential scan per accumulator: column k holds
+        # every accumulator's exact value after k steps (the scalar
+        # fold).
+        buffer = np.empty((6, limit + 1), dtype=np.float64)
+        buffer[:, 0] = (
+            breakdown.activate,
+            breakdown.precharge,
+            breakdown.background,
+            stats.busy_ns,
+            stats.defense_ns,
+            now_start,
+        )
+        buffer[:, 1:] = np.array(
+            [
+                energy.e_act,
+                energy.e_pre,
+                energy.background_nj(step_ns),
+                trc,
+                extra_ns,
+                step_ns,
+            ],
+            dtype=np.float64,
+        )[:, None]
+        np.add.accumulate(buffer, axis=1, out=buffer)
+        now_column = buffer[5]
+
+        committed = limit
+        position = 0  # ACT steps already charged onto the hammer counter
+        while True:
+            # 1-based step index of the next TRH / Half-Double crossing,
+            # from the *current* counter (ticks inside the epoch reset
+            # it).
+            crossing = position + rowhammer.quiet_span(physical) + 1
+            # 1-based step index whose advance first satisfies the
+            # scalar tick condition ``now >= next_ref`` on the folded
+            # clock.
+            tick = (
+                int(
+                    np.searchsorted(
+                        now_column[1:], refresh.next_ref_ns, side="left"
+                    )
+                )
+                + 1
+            )
+            if crossing <= limit and crossing <= tick:
+                # The crossing ACT must run scalar (possible
+                # disturbance): stop the epoch just before it.  If the
+                # crossing step is also the tick step, the tick fires
+                # during that scalar boundary ACT's own advance, not
+                # here.
+                committed = crossing - 1
+                break
+            if tick > limit:
+                break
+            # Fuse across this REF: the boundary ACT's counter bump
+            # lands first (scalar order: activate, then advance fires
+            # the tick), then the due slices reset their rows.
+            rowhammer.charge_activations(physical, tick - position)
+            position = tick
+            refresh.tick(float(now_column[tick]))
+
+        if committed <= 0:
+            return 0
+        tel = obs.ACTIVE
+        if tel is not None:
+            tel.metrics.inc("controller.fused_epochs", engine=self.engine)
+            tel.metrics.inc("controller.acts", committed, engine=self.engine)
+        rowhammer.charge_activations(physical, committed - position)
+        (
+            breakdown.activate,
+            breakdown.precharge,
+            breakdown.background,
+            stats.busy_ns,
+            stats.defense_ns,
+            device.now_ns,
+        ) = (float(value) for value in buffer[:, committed])
+        self._commit_acts(
+            requests, start, committed, physical, lookup_hit, extra_ns,
+            step_ns, now_start, sink,
+        )
+        return committed
 
     def _bulk_acts(
         self,
@@ -608,15 +749,7 @@ class MemoryController:
             ),
             count,
         )
-        stats.activates += count
-        stats.precharges += count
         device.rowhammer.charge_activations(physical, count)
-        # Every scalar ACT ends with a precharge of its own bank.
-        device.banks[device.mapper.row_address(physical).bank].open_row = None
-        if self.locker is not None:
-            self.locker.charge_bulk(count, lookup_hit)
-        if self.defense is not None:
-            self.defense.on_activate_run(physical, count, now_start, step_ns)
 
         tel = obs.ACTIVE
         if tel is not None:
@@ -626,6 +759,36 @@ class MemoryController:
                 "controller.defense_ns", stats.defense_ns, engine=self.engine
             )
 
+        self._commit_acts(
+            requests, start, count, physical, lookup_hit, extra_ns, step_ns,
+            now_start, sink,
+        )
+
+    def _commit_acts(
+        self,
+        requests: Sequence[MemRequest],
+        start: int,
+        count: int,
+        physical: int,
+        lookup_hit: bool,
+        extra_ns: float,
+        step_ns: float,
+        now_start: float,
+        sink,
+    ) -> None:
+        """The tail both commit steps share, once the float
+        accumulators and hammer counters hold ``count`` more ACTs:
+        integer counters, the bank precharge, the locker and defense
+        closed-form charges, and one run to the sink."""
+        device = self.device
+        device.stats.activates += count
+        device.stats.precharges += count
+        # Every scalar ACT ends with a precharge of its own bank.
+        device.banks[device.mapper.row_address(physical).bank].open_row = None
+        if self.locker is not None:
+            self.locker.charge_bulk(count, lookup_hit)
+        if self.defense is not None:
+            self.defense.on_activate_run(physical, count, now_start, step_ns)
         sink.add_run(
             requests,
             start,

@@ -1,419 +1,22 @@
-"""The event-driven fast-forward core (``engine="events"``).
+"""The cross-channel event queue behind the serving layer's
+``engine="events"`` drive.
 
-The bulk engine (:meth:`MemoryController.execute_batch`) already
-vectorizes quiet ACT runs, but it stops the fast path at *every* chunk
-boundary -- each refresh tick costs one scalar ``execute()`` round trip
-even when nothing else can happen for thousands of activations.  This
-module leaps those boundaries: it computes the next *state-changing
-event* in closed form, commits the whole quiet epoch -- including the
-refresh ticks inside it -- in one ``np.add.accumulate`` pass, and only
-drops to the scalar reference path at events that can change an
-observable outcome.
-
-Event types and their closed forms (all derived from live state, no
-estimation):
-
-* **refresh tick** -- the scalar engine fires a REF slice when the
-  folded clock first satisfies ``now_ns >= next_ref_ns``
-  (:meth:`RefreshEngine.tick`).  The fused epoch locates that exact
-  step with ``np.searchsorted`` over the accumulated clock column, so
-  the tick fires at the bit-identical simulated time.
-* **TRH crossing** -- the first ACT where the aggressor counter
-  satisfies ``count % trh == 0`` (or the Half-Double threshold):
-  ``quiet_span(row) + 1`` steps away (:meth:`RowHammerModel.
-  quiet_span`).  The crossing ACT always runs scalar so disturbance
-  flips land on the same request index with the same timestamp.
-* **locker deadline** -- the next pending restore / re-secure fires at
-  a known R/W-instruction count: ``DRAMLocker.quiet_span()`` requests
-  away (see also :meth:`DRAMLocker.next_deadline`).  Unlock-SWAP
-  windows (privileged requests to locked rows) are strictly scalar.
-* **defense event** -- each registered defense declares its next event
-  via :meth:`Defense.next_act_event`; defenses that do not declare fall
-  back to the chunked bulk discipline (scalar step at every refresh
-  tick), which is bit-identical by the existing bulk contract.
-* **run end** -- the stream itself runs out of identical ACTs.
-
-The serving layer adds two more event types above the controller:
-**tenant arrival burst edges** (slice boundaries, where the arrival
-RNGs draw) and **SLA-histogram epochs** (the per-slice drain of the
-shared :class:`SystemEventQueue`, after which tenant percentiles are
-current).  Both are slice-aligned, so the queue drains once per slice.
-
-Equivalence argument (the contract ``docs/ARCHITECTURE.md`` documents):
-a scalar boundary ACT at a refresh tick advances exactly the same
-per-step constants as a quiet bulk ACT on every accumulator -- locker
-lookup charge, ``e_act``/``e_pre``/background energy, ``busy_ns``,
-``defense_ns``, and the clock -- and ``np.add.accumulate`` is a strict
-sequential scan, bitwise-equal to the scalar left-to-right IEEE-754
-fold.  Fusing a tick into an epoch therefore changes no accumulator's
-addition sequence; only the Python-level call pattern differs.
-``tests/test_engine_equivalence.py`` pins payload equality across all
-three engines.
+A :class:`~repro.controller.MemoryController` runs the same code under
+``engine="events"`` as under ``engine="bulk"``; the name keeps one
+meaning, one layer up.  The serving engine submits a time slice's
+streams to a shared :class:`SystemEventQueue` and drains it once per
+slice -- the **SLA-histogram epoch**, after which tenant percentiles
+are current -- in slowest-channel-first order.  The drain is
+payload-identical to immediate execution because it keeps per-channel
+and per-sink order (see the class docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from .. import obs
-from ..locker.lock_table import LOCK_LOOKUP_NS
-from .request import MemRequest, Status
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .controller import MemoryController
-
-__all__ = [
-    "EventKind",
-    "RunEvent",
-    "next_act_event",
-    "fused_epoch",
-    "execute_act_run",
-    "SystemEventQueue",
-]
-
-#: Upper bound on one fused epoch's accumulate buffer (6 float64 rows of
-#: ``cap + 1`` columns, ~3 MB): million-ACT runs split at cap
-#: boundaries, which is fold-safe (the scalar addition order is a
-#: concatenation of the per-epoch folds).
-EPOCH_CAP = 1 << 16
-
-
-class EventKind(Enum):
-    """The state-changing event types the fast-forward core recognizes."""
-
-    REFRESH_TICK = "refresh-tick"
-    TRH_CROSSING = "trh-crossing"
-    LOCKER_DEADLINE = "locker-deadline"
-    DEFENSE_EVENT = "defense-event"
-    RUN_END = "run-end"
-
-
-@dataclass(frozen=True)
-class RunEvent:
-    """The next state-changing event bounding an ACT run.
-
-    Attributes:
-        kind: Which closed form produced the bound.
-        steps: Quiet ACTs before the event's boundary step -- the
-            number of activations that can be committed without any
-            observable changing behaviour.
-    """
-
-    kind: EventKind
-    steps: int
-
-
-def next_act_event(
-    controller: "MemoryController", row: int, limit: int
-) -> RunEvent:
-    """Compute the next state-changing event for an ACT run of ``row``.
-
-    This is the typed, observable view of the bounds the events engine
-    executes by: the minimum over every closed form, labelled with the
-    event type that produced it.  ``limit`` caps the horizon (the
-    ``RUN_END`` event).  Non-mutating.
-    """
-    device = controller.device
-    physical = row
-    step_ns = device.timing.trc
-    candidates = [RunEvent(EventKind.RUN_END, limit)]
-    locker = controller.locker
-    if locker is not None:
-        candidates.append(
-            RunEvent(EventKind.LOCKER_DEADLINE, locker.quiet_span())
-        )
-        physical, _, _ = locker.classify(row)
-        step_ns += LOCK_LOOKUP_NS
-    defense = controller.defense
-    if defense is not None:
-        physical = defense.translate(physical)
-        declared = defense.next_act_event(physical, limit)
-        if declared is not None:
-            candidates.append(
-                RunEvent(EventKind.DEFENSE_EVENT, declared.count)
-            )
-            step_ns += declared.extra_ns
-        else:
-            plan = defense.plan_activate_run(physical, limit)
-            candidates.append(
-                RunEvent(
-                    EventKind.DEFENSE_EVENT,
-                    plan.count if plan is not None else 0,
-                )
-            )
-            if plan is not None:
-                step_ns += plan.extra_ns
-    candidates.append(
-        RunEvent(
-            EventKind.REFRESH_TICK,
-            device.refresh.quiet_steps(device.now_ns, step_ns),
-        )
-    )
-    candidates.append(
-        RunEvent(
-            EventKind.TRH_CROSSING, device.rowhammer.quiet_span(physical)
-        )
-    )
-    return min(candidates, key=lambda event: (event.steps,))
-
-
-def fused_epoch(
-    controller: "MemoryController",
-    requests: Sequence[MemRequest],
-    start: int,
-    physical: int,
-    lookup_hit: bool,
-    extra_ns: float,
-    step_ns: float,
-    limit: int,
-    sink,
-) -> int:
-    """Commit up to ``limit`` quiet ACTs of ``physical`` in one pass.
-
-    Unlike :meth:`MemoryController._bulk_acts`, the epoch may span
-    refresh ticks: the tick steps are located exactly (by searching the
-    accumulated clock column for ``next_ref_ns``, the same comparison
-    the scalar ``advance`` performs on the same folded values) and
-    fired in place, so the REF walker, the hammer counters, and every
-    energy accumulator evolve bit-identically to the scalar loop.  The
-    epoch stops *before* a TRH crossing -- the crossing ACT itself runs
-    scalar so flips land with the exact folded timestamp.
-
-    Returns the number of ACTs committed (0 means the very next ACT is
-    a boundary and must take the scalar path).  The caller guarantees
-    no locker deadline and no declared defense event falls inside
-    ``limit`` steps.
-    """
-    device = controller.device
-    refresh = device.refresh
-    rowhammer = device.rowhammer
-    limit = min(limit, EPOCH_CAP)
-
-    # Fast path: no event inside the whole epoch -- a plain bulk chunk,
-    # no accumulate buffer needed.
-    quiet = min(
-        refresh.quiet_steps(device.now_ns, step_ns),
-        rowhammer.quiet_span(physical),
-    )
-    if quiet >= limit:
-        tel = obs.ACTIVE
-        if tel is not None:
-            tel.metrics.inc("controller.epoch_leaps", engine="events")
-        controller._bulk_acts(
-            requests, start, limit, physical, lookup_hit, extra_ns,
-            step_ns, sink,
-        )
-        return limit
-
-    stats = device.stats
-    breakdown = stats.energy
-    energy = device.energy
-    trc = device.timing.trc
-    now_start = device.now_ns
-
-    # One strict sequential scan per accumulator: column k holds every
-    # accumulator's exact value after k steps (the scalar fold).
-    buffer = np.empty((6, limit + 1), dtype=np.float64)
-    buffer[:, 0] = (
-        breakdown.activate,
-        breakdown.precharge,
-        breakdown.background,
-        stats.busy_ns,
-        stats.defense_ns,
-        now_start,
-    )
-    buffer[:, 1:] = np.array(
-        [
-            energy.e_act,
-            energy.e_pre,
-            energy.background_nj(step_ns),
-            trc,
-            extra_ns,
-            step_ns,
-        ],
-        dtype=np.float64,
-    )[:, None]
-    np.add.accumulate(buffer, axis=1, out=buffer)
-    now_column = buffer[5]
-
-    committed = limit
-    position = 0  # ACT steps already charged onto the hammer counter
-    while True:
-        # 1-based step index of the next TRH / Half-Double crossing,
-        # from the *current* counter (ticks inside the epoch reset it).
-        crossing = position + rowhammer.quiet_span(physical) + 1
-        # 1-based step index whose advance first satisfies the scalar
-        # tick condition ``now >= next_ref`` on the folded clock.
-        tick = (
-            int(
-                np.searchsorted(
-                    now_column[1:], refresh.next_ref_ns, side="left"
-                )
-            )
-            + 1
-        )
-        if crossing <= limit and crossing <= tick:
-            # The crossing ACT must run scalar (possible disturbance):
-            # stop the epoch just before it.  If the crossing step is
-            # also the tick step, the tick fires during that scalar
-            # boundary ACT's own advance, not here.
-            committed = crossing - 1
-            break
-        if tick > limit:
-            break
-        # Fuse across this REF: the boundary ACT's counter bump lands
-        # first (scalar order: activate, then advance fires the tick),
-        # then the due slices reset their rows.
-        rowhammer.charge_activations(physical, tick - position)
-        position = tick
-        refresh.tick(float(now_column[tick]))
-
-    if committed <= 0:
-        return 0
-    tel = obs.ACTIVE
-    if tel is not None:
-        tel.metrics.inc("controller.fused_epochs", engine="events")
-        tel.metrics.inc("controller.acts", committed, engine="events")
-    rowhammer.charge_activations(physical, committed - position)
-    (
-        breakdown.activate,
-        breakdown.precharge,
-        breakdown.background,
-        stats.busy_ns,
-        stats.defense_ns,
-        device.now_ns,
-    ) = (float(value) for value in buffer[:, committed])
-    stats.activates += committed
-    stats.precharges += committed
-    # Every scalar ACT ends with a precharge of its own bank.
-    device.banks[device.mapper.row_address(physical).bank].open_row = None
-    if controller.locker is not None:
-        controller.locker.charge_bulk(committed, lookup_hit)
-    if controller.defense is not None:
-        controller.defense.on_activate_run(
-            physical, committed, now_start, step_ns
-        )
-    sink.add_run(
-        requests,
-        start,
-        committed,
-        Status.DONE,
-        latency_ns=step_ns,
-        defense_ns=extra_ns,
-        physical=physical,
-    )
-    return committed
-
-
-def execute_act_run(
-    controller: "MemoryController",
-    requests: Sequence[MemRequest],
-    start: int,
-    end: int,
-    sink,
-) -> None:
-    """Drain ``requests[start:end]`` (identical ACTs of one row) on the
-    events engine.
-
-    Mirrors :meth:`MemoryController._execute_act_run` (same locker
-    gates, same defense planning) but replaces the per-tick chunking
-    with :func:`fused_epoch` wherever the defense layer declares the
-    horizon event-free -- no defense, or a defense whose
-    :meth:`~repro.defenses.base.Defense.next_act_event` opts in.
-    Undeclared defenses keep the chunked bulk discipline step for step.
-    """
-    device = controller.device
-    refresh = device.refresh
-    rowhammer = device.rowhammer
-    locker = controller.locker
-    defense = controller.defense
-    trc = device.timing.trc
-    row = requests[start].row
-    privileged = requests[start].privileged
-
-    index = start
-    while index < end:
-        if locker is not None:
-            pending_bound = locker.quiet_span()
-            if pending_bound <= 0:
-                sink.add(controller.execute(requests[index]))
-                index += 1
-                continue
-            physical, locked, exposed = locker.classify(row)
-            if locked and not exposed:
-                if privileged:
-                    # Unlock-SWAP path: strictly scalar, ordering is
-                    # part of the defense semantics.
-                    sink.add(controller.execute(requests[index]))
-                    index += 1
-                    continue
-                count = min(end - index, pending_bound)
-                controller._bulk_blocked(requests, index, count, sink)
-                index += count
-                continue
-            lookup_hit = locked  # exposed rows still hit the table
-            lock_ns = LOCK_LOOKUP_NS
-        else:
-            physical = row
-            pending_bound = end - index
-            lookup_hit = False
-            lock_ns = 0.0
-
-        defense_extra = 0.0
-        limit = min(end - index, pending_bound)
-        if defense is not None:
-            physical = defense.translate(physical)
-            declared = defense.next_act_event(physical, limit)
-            if declared is None:
-                # No closed-form event stream: keep the chunked bulk
-                # discipline (scalar step at every boundary), which is
-                # bit-identical by the existing bulk contract.
-                plan = defense.plan_activate_run(physical, limit)
-                if plan is None or plan.count <= 0:
-                    sink.add(controller.execute(requests[index]))
-                    index += 1
-                    continue
-                limit = min(limit, plan.count)
-                extra_ns = lock_ns + plan.extra_ns
-                step_ns = trc + extra_ns
-                count = min(
-                    limit,
-                    refresh.quiet_steps(device.now_ns, step_ns),
-                    rowhammer.quiet_span(physical),
-                )
-                if count <= 0:
-                    sink.add(controller.execute(requests[index]))
-                    index += 1
-                    continue
-                controller._bulk_acts(
-                    requests, index, count, physical, lookup_hit,
-                    extra_ns, step_ns, sink,
-                )
-                index += count
-                continue
-            if declared.count <= 0:
-                # The very next ACT is the defense's event.
-                sink.add(controller.execute(requests[index]))
-                index += 1
-                continue
-            limit = min(limit, declared.count)
-            defense_extra = declared.extra_ns
-
-        extra_ns = lock_ns + defense_extra  # the scalar fold order
-        step_ns = trc + extra_ns
-        committed = fused_epoch(
-            controller, requests, index, physical, lookup_hit, extra_ns,
-            step_ns, limit, sink,
-        )
-        if committed <= 0:
-            sink.add(controller.execute(requests[index]))
-            index += 1
-            continue
-        index += committed
+__all__ = ["SystemEventQueue"]
 
 
 @dataclass

@@ -26,6 +26,9 @@ without one Python call per activation:
   planned run in closed form, bit-identical to ``count`` scalar
   ``on_activate`` calls.
 
+A plan with ``fuse_ticks=True`` further lets the controller commit the
+run across refresh ticks in one fused epoch; see :class:`RunAction`.
+
 Chunk boundaries are therefore exactly the points where a defense can
 change behaviour: counter/Misra-Gries threshold crossings, TRR sampler
 insertions/evictions, Hydra group escalations and row-counter
@@ -77,10 +80,18 @@ class RunAction:
         extra_ns: Mitigation latency each of those ACTs charges --
             identical across the run by the planning contract (e.g.
             Hydra's per-ACT DRAM row-counter access), usually 0.0.
+        fuse_ticks: Whether the run may be committed across refresh
+            ticks in one fused epoch.  Only sound for a defense whose
+            ``on_activate`` does no refresh-window-scoped work: the
+            scalar loop runs its window check (``_window_check``) on
+            the boundary ACT at each tick, and a fused tick skips it.
+            ``False`` keeps a scalar boundary ACT at every tick, which
+            is always correct.
     """
 
     count: int
     extra_ns: float = 0.0
+    fuse_ticks: bool = False
 
 
 @dataclass
@@ -202,29 +213,6 @@ class Defense(ABC):
         for index in range(count):
             self.on_activate(row, now_ns + index * step_ns)
 
-    def next_act_event(self, row: int, limit: int) -> RunAction | None:
-        """Declare the defense's next event for the fast-forward core.
-
-        The events engine (:mod:`repro.controller.events`) fuses whole
-        multi-tick epochs -- refresh ticks included -- into one
-        accumulate pass.  That is only sound for a defense whose
-        ``on_activate`` performs no refresh-window-scoped work: the
-        scalar loop would run its window check (:meth:`_window_check`)
-        on the boundary ACT at each tick, and fusing the tick would
-        skip it.  A defense that *is* insensitive to window boundaries
-        declares so by returning a :class:`RunAction`: the next
-        ``count`` ACTs of ``row`` are uniform (per the
-        :meth:`plan_activate_run` contract) *and* may be fused across
-        refresh ticks; 0 means the very next ACT is the defense's event
-        and must run scalar.
-
-        Default: ``None`` -- no closed-form event stream declared; the
-        events engine falls back to the chunked bulk discipline
-        (scalar boundary at every refresh tick), which is always
-        correct.
-        """
-        return None
-
     @abstractmethod
     def overhead(self, config: DRAMConfig) -> OverheadReport:
         """Storage and area cost for Table I under ``config``."""
@@ -257,18 +245,14 @@ class NoDefense(Defense):
 
     def plan_activate_run(self, row: int, limit: int) -> RunAction | None:
         # The base on_activate neither checks windows nor charges; a
-        # whole run is uniform by construction.
-        return RunAction(limit)
+        # whole run is uniform by construction and may fuse across
+        # refresh ticks.
+        return RunAction(limit, fuse_ticks=True)
 
     def on_activate_run(
         self, row: int, count: int, now_ns: float, step_ns: float
     ) -> None:
         pass
-
-    def next_act_event(self, row: int, limit: int) -> RunAction | None:
-        # No window checks, no charges, no state: the whole horizon is
-        # event-free, so epochs may fuse across refresh ticks.
-        return RunAction(limit)
 
     def overhead(self, config: DRAMConfig) -> OverheadReport:
         return OverheadReport(

@@ -12,8 +12,8 @@ follows, so both the protection and its latency cost are emergent in
 simulation.  A per-window swap budget models the paper's constraint
 that swaps must fit inside refresh windows.
 
-Window-scoped state means the defense does *not* declare
-:meth:`~repro.defenses.base.Defense.next_act_event`: the events engine
+Window-scoped state means the defense's run plans leave
+:attr:`~repro.defenses.base.RunAction.fuse_ticks` unset: the controller
 keeps the chunked bulk discipline (scalar boundary at every refresh
 tick), which is bit-identical by the existing bulk contract.
 """

@@ -11,10 +11,10 @@ recovery routine:
   group digest (the checksum streams alongside the data, charged as
   ``check_ns`` per access);
 * **scrub pass** -- every ``scrub_interval`` activations (any row) a
-  full sweep re-verifies every group.  The scrub is *scheduled through
-  the events engine*: :meth:`Radar.next_act_event` declares the quiet
-  span until the next scrub boundary in closed form, so fused epochs
-  leap straight to the scrub ACT.
+  full sweep re-verifies every group.  :meth:`Radar.plan_activate_run`
+  plans the quiet span until the next scrub boundary in closed form
+  with ``fuse_ticks=True``, so fused epochs leap straight to the scrub
+  ACT.
 
 Recovery is two-level.  Groups inside the golden budget keep exact
 row copies ("locatable"): corrupted rows are restored bit-exactly.
@@ -24,11 +24,11 @@ degrade accuracy gracefully instead of silently misclassifying
 (RADAR's accuracy-recovery argument).
 
 Engine equivalence: RADAR performs no refresh-window-scoped work, so
-its event stream may fuse across refresh ticks.  Row content only
-changes on TRH-crossing ACTs and locker deadlines, both of which every
-engine forces onto the scalar path -- therefore a digest verified at
-plan time stays valid for the whole planned run, and the hook triple is
-bit-identical across scalar/bulk/events (pinned by
+its planned runs may fuse across refresh ticks.  Row content only
+changes on TRH-crossing ACTs and locker deadlines, both of which the
+controller forces onto the scalar path -- therefore a digest verified
+at plan time stays valid for the whole planned run, and the bulk hook
+pair is bit-identical to the scalar loop (pinned by
 ``tests/test_engine_equivalence.py``).
 """
 
@@ -243,7 +243,7 @@ class Radar(Defense):
             self.store.sync_model(force=True)
 
     # ------------------------------------------------------------------
-    # Bulk hook pair + events declaration
+    # Bulk hook pair
     # ------------------------------------------------------------------
     def plan_activate_run(self, row: int, limit: int) -> RunAction | None:
         """Quiet until the next scrub boundary; protected rows charge
@@ -253,11 +253,12 @@ class Radar(Defense):
         quiet = self.scrub_interval - 1 - (self._acts % self.scrub_interval)
         group = self._row_group.get(row)
         if group is None:
-            return RunAction(max(0, min(limit, quiet)))
+            return RunAction(max(0, min(limit, quiet)), fuse_ticks=True)
         if self._group_digest(group.rows) != group.digest:
             return RunAction(0)
         return RunAction(
-            max(0, min(limit, quiet)), extra_ns=self.check_ns
+            max(0, min(limit, quiet)), extra_ns=self.check_ns,
+            fuse_ticks=True,
         )
 
     def on_activate_run(
@@ -276,13 +277,6 @@ class Radar(Defense):
                 self.mitigation_ns_total, self.check_ns, count
             )
             self.actions += count
-
-    def next_act_event(self, row: int, limit: int) -> RunAction | None:
-        # No refresh-window-scoped work and row content is frozen
-        # between scalar boundaries (TRH crossings / locker deadlines),
-        # so the plan may fuse across refresh ticks: the scrub pass is
-        # scheduled through the events engine in closed form.
-        return self.plan_activate_run(row, limit)
 
     def refresh_checksums(self) -> None:
         """Re-snapshot every group digest (and golden copy) from the

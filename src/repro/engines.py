@@ -8,10 +8,12 @@ its own copy of the accepted names and its own error wording.  This
 module is now the single source of truth:
 
 * :data:`EXECUTION_ENGINES` -- the controller drives.  ``"scalar"``
-  executes one request at a time, ``"bulk"`` run-length-compresses
-  same-row streams, ``"events"`` defers whole streams onto a
-  clock-ordered event queue.  All three are bit-identical by contract
-  (``docs/ARCHITECTURE.md``, pinned by
+  executes one request at a time; ``"bulk"`` run-length-compresses
+  same-row streams and fuses quiet ACT runs across refresh ticks
+  where the defense plan allows it.  ``"events"`` runs the same
+  controller code as ``"bulk"``; in the serving layer it defers a
+  slice's streams onto a clock-ordered event queue.  All three are
+  bit-identical by contract (``docs/ARCHITECTURE.md``, pinned by
   ``tests/test_engine_equivalence.py``).
 * :data:`SEARCH_ENGINES` -- the attack-session bit-search drives
   (``"suffix"`` array fast path vs ``"full"`` reference walk), the same

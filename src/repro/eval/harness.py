@@ -1686,8 +1686,8 @@ def serving_scenarios(scale: Scale | None = None) -> list[Scenario]:
              channels=2, tenants=8),
         cell("serving-locker-bursty-ch2", defense="DRAM-Locker",
              channels=2, arrival="bursty"),
-        # Event-driven fast-forward engine: payloads must match the
-        # bulk cells above bit-for-bit (tests/test_engine_equivalence.py
+        # Event-queue serving drive: payloads must match the bulk
+        # cells above bit-for-bit (tests/test_engine_equivalence.py
         # pins the contract; these cells keep it exercised nightly).
         cell("serving-locker-events-ch4", defense="DRAM-Locker",
              channels=4, engine="events"),

@@ -502,9 +502,7 @@ def compare_defended_hammer(
     correctness property, no tolerance), and each cell's *speedup
     ratio* -- which transfers across runner classes, unlike wall-clock
     -- must not have shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.  Cells that also recorded the events engine
-    (``events_identical``) must report it bit-identical to the same
-    scalar reference.
+    committed baseline.
     """
     report = RegressionReport()
     current_defenses = current.get("defenses", {})
@@ -512,10 +510,6 @@ def compare_defended_hammer(
         if not cell.get("results_identical", False):
             report.violations.append(
                 f"{name}: bulk engine diverged from the scalar reference"
-            )
-        if "events_identical" in cell and not cell["events_identical"]:
-            report.violations.append(
-                f"{name}: events engine diverged from the scalar reference"
             )
     for name, base_cell in sorted(baseline.get("defenses", {}).items()):
         cell = current_defenses.get(name)

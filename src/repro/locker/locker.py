@@ -195,9 +195,8 @@ class DRAMLocker:
     def next_deadline(self) -> int | None:
         """The R/W-instruction count at which the earliest pending
         restore / re-secure fires, or ``None`` when nothing is pending
-        -- the locker's closed-form event for the fast-forward core
-        (:func:`~repro.controller.events.next_act_event` reports it as
-        ``LOCKER_DEADLINE``, ``quiet_span()`` steps away)."""
+        -- the locker's closed-form event, ``quiet_span()`` steps
+        away."""
         if not self._pending:
             return None
         return self._pending[0].due

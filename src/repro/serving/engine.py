@@ -303,17 +303,22 @@ class ServingSimulation:
         stream = [MemRequest(Kind.READ, row, privileged=True)]
         self._dispatch(stream, self._owner_sink)
 
-    def _dispatch(self, requests, sink) -> None:
-        """Route one stream: immediately, or via the event queue."""
+    def _dispatch(self, requests, sink, *, queue=True, prepared=None) -> None:
+        """Route one stream: via the event queue when one is driving
+        and ``queue`` allows it, else immediately.  ``prepared`` is a
+        pre-translated thunk wrapping ``requests``; it always runs
+        immediately."""
         tel = obs.ACTIVE
         if tel is not None:
             # Audit events emitted during execution carry the open
             # slice; the events engine re-stamps before its drain.
             tel.audit.set_field("slice", self._slices_closed)
-        if self._queue is None:
-            self.system.execute_stream(requests, sink)
-        else:
+        if prepared is not None:
+            prepared()
+        elif queue and self._queue is not None:
             self.system.submit_stream(self._queue, requests, sink)
+        else:
+            self.system.execute_stream(requests, sink)
 
     def _tenant_partitions(self) -> list[tuple[int, int]]:
         """Per-tenant system-row ranges that stay clear of every
@@ -437,7 +442,7 @@ class ServingSimulation:
         """Run every time slice and return the scenario payload.
 
         A slice boundary is both serving-level events of the
-        fast-forward design: the **arrival burst edge** (the per-tenant
+        event-queue drive: the **arrival burst edge** (the per-tenant
         arrival RNGs draw at the top of the slice) and the
         **SLA-histogram epoch** (under ``engine="events"`` the shared
         queue drains at the bottom, after which every tenant's
@@ -513,18 +518,16 @@ class ServingSimulation:
             self.op_shed += 1
             return False
         sink = sla.sink(tenant)
-        if arrival_s is None or self._queue is not None:
-            if prepared is not None:
-                prepared()
-            else:
-                self._dispatch(requests, sink)
+        if arrival_s is None:
+            self._dispatch(requests, sink, prepared=prepared)
             self.op_served += 1
             return True
+        # Replay/live ops run immediately on every engine, so the
+        # sojourn reads this op's own completion clock.  The event queue
+        # then holds only end-of-slice streams, which keeps per-channel
+        # and per-sink order identical to the queued drive.
         before_service = sink.summary.latency_ns
-        if prepared is not None:
-            prepared()
-        else:
-            self._dispatch(requests, sink)
+        self._dispatch(requests, sink, queue=False, prepared=prepared)
         involved = self._involved_channels(requests)
         completion_ns = max(
             self.system.channels[index].device.now_ns for index in involved

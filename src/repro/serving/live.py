@@ -480,11 +480,7 @@ class LiveServer:
                         transport.put(("shed", top, reason))
                         continue
                     prepared = None
-                    if (
-                        sim._queue is None
-                        and sim._scaler is None
-                        and sim.fault is None
-                    ):
+                    if sim._scaler is None and sim.fault is None:
                         # Address translation + batching off the
                         # executor; execution stays deferred.  Disabled
                         # under fault injection: serve_op must see raw

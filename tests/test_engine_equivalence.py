@@ -1,16 +1,19 @@
-"""The scalar ⊂ bulk ⊂ events contract, end to end.
+"""The engine-equivalence contract, end to end.
 
 ``docs/ARCHITECTURE.md`` documents the contract; this suite enforces
-it across the grid the events engine must survive: every registered
-defense, locker unlock-SWAP windows (including swap-failure RNG
-draws), refresh-tick edge alignment, and multi-channel serving cells.
-"Identical" means bit-identical -- ``RequestResult`` fields, the float
-accumulators in ``MemoryStats``, hammer counters, locker and defense
-bookkeeping, and whole serving payloads.
+it across the grid the fast ACT-run path must survive: every
+registered defense, locker unlock-SWAP windows (including swap-failure
+RNG draws), refresh-tick edge alignment, multi-channel serving cells,
+and generated request streams.  "Identical" means bit-identical --
+``RequestResult`` fields, the float accumulators in ``MemoryStats``,
+hammer counters, locker and defense bookkeeping, and whole serving
+payloads.  ``engine="events"`` runs the same controller code as
+``bulk``; its parametrizations pin that alias.
 """
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.controller.controller import ENGINES
@@ -60,7 +63,7 @@ def _build(engine, *, defense_name=None, protected=False, trh=100,
 def _adversarial_stream():
     """Unlock-SWAP openers (privileged reads of locked rows), hammering
     inside and outside the exposure windows, relock deadlines crossed
-    mid-run, and long undefended bursts the events engine fuses."""
+    mid-run, and long undefended bursts that fuse across ticks."""
     requests = []
     for _ in range(3):
         requests.append(MemRequest(Kind.READ, 21, privileged=True))
@@ -104,8 +107,9 @@ def _result_fields(results):
     ]
 
 
-def _run(engine, **kwargs):
-    requests = _adversarial_stream()
+def _run(engine, requests=None, **kwargs):
+    if requests is None:
+        requests = _adversarial_stream()
     device, controller, locker, defense = _build(engine, **kwargs)
     if engine == "scalar":
         results = [controller.execute(request) for request in requests]
@@ -173,6 +177,73 @@ def test_trh_crossing_alignment(engine):
             MemRequest(Kind.ACT, 9, privileged=False), count
         )
         assert _device_state(device_a) == _device_state(device_b), count
+
+
+# ----------------------------------------------------------------------
+# Generated streams: scalar vs bulk on random boundary-straddling runs
+# ----------------------------------------------------------------------
+#: ACTs between refresh ticks on a fresh tiny device at one tRC per ACT.
+_PROBE = _build("scalar")[0]
+_QUIET = _PROBE.refresh.quiet_steps(_PROBE.now_ns, _PROBE.timing.trc)
+_TRHS = (64, 100)
+_RELOCKS = (90, 150)
+#: Run lengths one step either side of each boundary kind.
+_EDGES = sorted(
+    {
+        edge + delta
+        for edge in (_QUIET, 2 * _QUIET, *_TRHS, *_RELOCKS)
+        for delta in (-1, 0, 1)
+    }
+)
+
+
+@st.composite
+def _streams(draw):
+    """Segments of same-row ACT runs (aggressors of the templated
+    victim, locked rows, a free row) and privileged reads that open
+    unlock-SWAP windows."""
+    requests = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            row = draw(st.sampled_from((9, 11, 21, 33)))
+            requests.append(MemRequest(Kind.READ, row, privileged=True))
+            continue
+        row = draw(st.sampled_from((9, 10, 11, 21, 50)))
+        privileged = draw(st.integers(0, 7)) == 0
+        length = draw(
+            st.one_of(st.sampled_from(_EDGES), st.integers(2, 2 * _QUIET))
+        )
+        requests += [
+            MemRequest(Kind.ACT, row, privileged=privileged)
+            for _ in range(length)
+        ]
+    return requests
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    requests=_streams(),
+    defense_name=st.sampled_from([None, *DEFENSE_NAMES]),
+    protected=st.booleans(),
+    trh=st.sampled_from(_TRHS),
+    relock_interval=st.sampled_from(_RELOCKS),
+)
+def test_generated_streams_scalar_matches_bulk(
+    requests, defense_name, protected, trh, relock_interval
+):
+    setup = dict(
+        defense_name=defense_name,
+        protected=protected,
+        trh=trh,
+        relock_interval=relock_interval,
+    )
+    reference = _run("scalar", requests, **setup)
+    assert _run("bulk", requests, **setup) == reference
 
 
 # ----------------------------------------------------------------------

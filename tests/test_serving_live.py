@@ -141,6 +141,27 @@ class TestReplayEquivalence:
                 == replay_locker.swap_engine.rng.bit_generator.state
             )
 
+    def test_events_replay_books_sojourn_like_bulk(self):
+        """Replay ops run immediately on every engine, so pressure
+        admission reads the same sojourn books under ``events`` as
+        under ``bulk``: the whole payload, ``live`` included, matches."""
+        config = ServingConfig(channels=2, slices=8, seed=0)
+        trace = record_serving_trace(config)
+        admission = AdmissionConfig(p99_target_ns=300, min_samples=8)
+        payloads = {}
+        for engine in ("bulk", "events"):
+            result = serve(
+                dataclasses.replace(
+                    config, engine=engine, admission=admission
+                ),
+                trace=trace,
+            )
+            assert result.shed_total > 0
+            assert result.sojourn_p99_ns() is not None
+            payloads[engine] = result.payload
+            payloads[engine]["config"].pop("engine")
+        assert payloads["events"] == payloads["bulk"]
+
     def test_replay_from_file_uses_embedded_config(self, tmp_path):
         config = _small_config()
         trace = record_serving_trace(config)
