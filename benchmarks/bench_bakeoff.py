@@ -22,8 +22,8 @@ monitor riding them, and the RADAR chaos cell -- and records:
   baseline, else the artifact is refused;
 * **prevention intact** -- DRAM-Locker serving cells must keep zero
   victim flip events, else the artifact is refused;
-* per-cell **SLA fingerprints** the nightly ``compare_bakeoff`` gate
-  holds to exact equality.
+* per-cell **SLA fingerprints** the nightly gate's ``BAKEOFF_SCHEMA``
+  rows hold to exact equality.
 
 Run with:  python benchmarks/bench_bakeoff.py [--attacks bfa pta ...]
 """

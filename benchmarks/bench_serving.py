@@ -21,7 +21,7 @@ a channel sweep per defense, and records:
   and bit-identical accuracy required, else the artifact is refused;
 * per-cell **SLA fingerprints** (request tallies + latency
   percentiles, all deterministic simulated quantities) that the
-  nightly ``compare_serving`` gate holds to exact equality.
+  nightly gate's ``SERVING_SCHEMA`` rows hold to exact equality.
 
 Run with:  python benchmarks/bench_serving.py [--channels 1 4 8 16]
 """

@@ -13,7 +13,7 @@ control, and the wall-clock-paced threaded server -- and records:
   arriving faster), replayed with no admission vs sojourn-pressure
   shedding vs a per-tenant token bucket: sojourn p99, shed counts, and
   SLA fingerprints are all deterministic simulated quantities the
-  nightly ``compare_serving_live`` gate holds to exact equality.  The
+  nightly gate's ``SERVING_LIVE_SCHEMA`` rows hold to exact equality.  The
   recorder itself enforces that each admitted cell's sojourn p99 never
   exceeds the unadmitted one's and that pressure shedding lands within
   ``HOLD_SLACK`` x its target (probabilistic shedding converges to the

@@ -1,85 +1,70 @@
-"""Benchmark-regression checks over BENCH_*.json artifacts.
+"""Benchmark-regression gates over BENCH_*.json artifacts.
 
-The nightly CI job replays a harness matrix and compares the fresh
-artifact against a committed baseline: the build fails when wall-clock
-runtime or any *protected* accuracy (the quantity DRAM-Locker exists to
-preserve) regresses beyond tolerance.  The comparison logic lives here
-so it is unit-testable; ``benchmarks/check_regression.py`` is the thin
-CLI the workflow invokes.
+Every gate is a row of :data:`RULES`, keyed by the artifact's ``schema`` and
+read by one interpreter, :func:`compare` (CLI: ``benchmarks/check_regression.py``).
+Tolerances are per-schema constants in the rows; each schema's comment says
+why its rows are exact or ratios.  Row kinds:
 
-What counts as a protected accuracy:
+* ``flag`` -- the value must be true; ``text`` (pass) and ``fail`` lines
+  format ``{field}``s from the node, and no ``text`` records no pass.
+* ``equal`` -- the value must equal the baseline's; ``default`` stands in
+  for a missing cell or key, else only values the baseline has are gated.
+* ``bound`` -- the value must pass ``op`` (``>=`` floor, ``<=`` ceiling,
+  ``<`` budget) against baseline x (1 -/+ ``tol``), a constant ``ref``, or
+  the current value at path ``ref``; ``optional`` skips absent values.
+* ``present`` -- a cell or section (with a ``key``: a value) the baseline
+  has must be in the current artifact.
 
-* ``attack`` scenarios with ``"protected": true`` -> ``final_accuracy``;
-* figure runners with per-defense curves -> the final accuracy recorded
-  under ``stats["with DRAM-Locker"]``;
-* everything else contributes no accuracy check (runtime still counts).
+``at`` is a dotted path: a final ``*`` gates each cell of a section, a final
+``?`` skips the row when the section is absent, and other missing sections
+read as empty.  ``key`` is a dotted key in the node or a function of it;
+``when`` picks the nodes gated.  A gated value that is missing or not a
+number is a violation naming its cell and key.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 __all__ = [
-    "ATTACK_SEARCH_SCHEMA",
-    "BAKEOFF_SCHEMA",
-    "DEFENDED_HAMMER_SCHEMA",
-    "OBS_SCHEMA",
-    "RUNTABLE_BENCH_SCHEMA",
-    "SERVING_LIVE_SCHEMA",
-    "SERVING_SCHEMA",
-    "RegressionReport",
-    "protected_accuracies",
-    "compare_artifacts",
-    "compare_attack_search",
-    "compare_bakeoff",
-    "compare_defended_hammer",
-    "compare_obs",
-    "compare_runtable",
-    "compare_serving",
-    "compare_serving_live",
-    "host_meta",
-    "load_artifact",
+    "ATTACK_SEARCH_SCHEMA", "BAKEOFF_SCHEMA", "DEFENDED_HAMMER_SCHEMA", "HARNESS_SCHEMA",
+    "OBS_SCHEMA", "RULES", "RUNTABLE_BENCH_SCHEMA", "SERVING_LIVE_SCHEMA", "SERVING_SCHEMA",
+    "ArtifactError", "RegressionReport", "Rule", "compare", "host_meta", "load_artifact",
+    "protected_accuracies", "bound", "equal", "flag", "present",
 ]
 
-LOCKED_LABEL = "with DRAM-Locker"
+HARNESS_SCHEMA = "dram-locker-bench/1"  # python -m repro.eval matrix
+ATTACK_SEARCH_SCHEMA = "dram-locker-attack-search-bench/1"  # benchmarks/bench_attack_search.py
+DEFENDED_HAMMER_SCHEMA = "dram-locker-defended-hammer-bench/1"  # bench_defended_hammer.py
+SERVING_SCHEMA = "dram-locker-serving-bench/1"  # bench_serving.py
+SERVING_LIVE_SCHEMA = "dram-locker-serving-live-bench/1"  # bench_serving_live.py
+RUNTABLE_BENCH_SCHEMA = "dram-locker-runtable-bench/1"  # bench_runtable.py
+BAKEOFF_SCHEMA = "dram-locker-bakeoff-bench/1"  # bench_bakeoff.py
+OBS_SCHEMA = "dram-locker-obs-bench/1"  # bench_obs.py
 
-#: Schema tag of the attack-search microbenchmark artifact
-#: (``benchmarks/bench_attack_search.py``).
-ATTACK_SEARCH_SCHEMA = "dram-locker-attack-search-bench/1"
 
-#: Schema tag of the defended-hammer microbenchmark artifact
-#: (``benchmarks/bench_defended_hammer.py``).
-DEFENDED_HAMMER_SCHEMA = "dram-locker-defended-hammer-bench/1"
-
-#: Schema tag of the serving benchmark artifact
-#: (``benchmarks/bench_serving.py``).
-SERVING_SCHEMA = "dram-locker-serving-bench/1"
-
-#: Schema tag of the live-frontend serving benchmark artifact
-#: (``benchmarks/bench_serving_live.py``).
-SERVING_LIVE_SCHEMA = "dram-locker-serving-live-bench/1"
-
-#: Schema tag of the run-table orchestration benchmark artifact
-#: (``benchmarks/bench_runtable.py``).
-RUNTABLE_BENCH_SCHEMA = "dram-locker-runtable-bench/1"
-
-#: Schema tag of the defense bake-off artifact
-#: (``benchmarks/bench_bakeoff.py``).
-BAKEOFF_SCHEMA = "dram-locker-bakeoff-bench/1"
-
-#: Schema tag of the telemetry-overhead benchmark artifact
-#: (``benchmarks/bench_obs.py``).
-OBS_SCHEMA = "dram-locker-obs-bench/1"
+class ArtifactError(ValueError):
+    """An unreadable or malformed artifact, an unknown schema, or a mixed pair."""
 
 
 def load_artifact(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ArtifactError(f"artifact {path} is not a JSON object")
+    return document
 
 
 def host_meta() -> dict:
@@ -119,21 +104,22 @@ def host_meta() -> dict:
     }
 
 
+def _protected_accuracy(payload: dict):
+    """The ``final_accuracy`` of a ``"protected": true`` attack, or a figure runner's
+    under ``stats["with DRAM-Locker"]``; None for errored and open results."""
+    if "error" in payload:
+        return None
+    if payload.get("protected") and payload.get("final_accuracy") is not None:
+        return payload["final_accuracy"]
+    locked = _get(payload, "stats.with DRAM-Locker")
+    return locked.get("final_accuracy") if isinstance(locked, dict) else None
+
+
 def protected_accuracies(artifact: dict) -> dict[str, float]:
-    """Every protected-accuracy metric an artifact carries, by name."""
-    metrics: dict[str, float] = {}
-    for name, payload in artifact.get("results", {}).items():
-        if not isinstance(payload, dict) or "error" in payload:
-            continue
-        if payload.get("protected") and payload.get("final_accuracy") is not None:
-            metrics[name] = float(payload["final_accuracy"])
-            continue
-        stats = payload.get("stats")
-        if isinstance(stats, dict) and LOCKED_LABEL in stats:
-            locked = stats[LOCKED_LABEL]
-            if isinstance(locked, dict) and "final_accuracy" in locked:
-                metrics[name] = float(locked["final_accuracy"])
-    return metrics
+    """Every protected-accuracy metric a harness artifact carries, by name."""
+    found = {name: _protected_accuracy(payload) for name, payload in
+             artifact.get("results", {}).items() if isinstance(payload, dict)}
+    return {name: float(value) for name, value in found.items() if value is not None}
 
 
 @dataclass
@@ -154,725 +140,211 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def compare_artifacts(
-    current: dict,
-    baseline: dict,
-    runtime_tolerance: float = 0.10,
-    accuracy_tolerance: float = 0.10,
-) -> RegressionReport:
-    """Fail when runtime grew or protected accuracy shrank by more than
-    the given fractional tolerances relative to the baseline."""
+@dataclass(frozen=True)
+class Rule:
+    """One gate row (see the module docstring); ``text`` names its value in messages."""
+
+    kind: str
+    at: str
+    key: str | Callable[[dict], Any] = ""
+    text: str | None = None
+    fail: str | None = None
+    when: Callable[[dict], Any] | None = None
+    default: Any = None
+    op: str = ">="
+    tol: float = 0.0
+    ref: float | str | None = None
+    optional: bool = False
+    unit: str = ""
+
+
+flag, equal, bound, present = (partial(Rule, k) for k in ("flag", "equal", "bound", "present"))
+_OPS = {">=": (operator.ge, "floor"), "<=": (operator.le, "ceiling"), "<": (operator.lt, "budget")}
+
+
+def _latencies(chaos: dict) -> list | None:
+    """Every injection's detection latency, or None when any is missing."""
+    latencies = chaos.get("detection_latency_ns") or []
+    return latencies if latencies and None not in latencies else None
+
+
+_ENGINE_CHECK = dict(text="events engine bit-identical to bulk reference",
+                     fail="events engine diverged from the bulk reference",
+                     when=lambda cell: cell.get("engine_check") is not None)
+
+RULES: dict[str, tuple[Rule, ...]] = {
+    # Wall seconds only compare on the baseline's runner class; accuracy is what the locker keeps.
+    HARNESS_SCHEMA: (
+        flag("results.*", lambda result: "error" not in result, None, "scenario failed: {error}"),
+        bound("timing", "total_s", "runtime", op="<=", tol=0.10, optional=True, unit="s"),
+        present("results.*", _protected_accuracy, "protected accuracy"),
+        bound("results.*", _protected_accuracy, "protected accuracy", tol=0.10, optional=True),
+    ),
+    # Engine equivalence is correctness, so exact; speedup ratios transfer across runner classes.
+    ATTACK_SEARCH_SCHEMA: (
+        flag("families.*", "results_identical", None, "suffix engine diverged from full-forward"),
+        present("families.*"),
+        bound("families.*", "speedup", tol=0.35, unit="x"),
+        flag("pool?", "results_identical", None, "persistent worker pool changed matrix results"),
+    ),
+    # As attack-search, for the bulk engine against the scalar reference.
+    DEFENDED_HAMMER_SCHEMA: (
+        flag("defenses.*", "results_identical", None, "bulk engine diverged from scalar reference"),
+        present("defenses.*"),
+        bound("defenses.*", "speedup", tol=0.35, unit="x"),
+    ),
+    # Simulated SLA stats, flip counts and engine checks are exact; scaling is a throughput ratio.
+    SERVING_SCHEMA: (
+        flag("cells.*", "engine_check.identical", **_ENGINE_CHECK),
+        present("cells.*"),
+        equal("cells.*", "sla_fingerprint"),
+        present("scaling.*"),
+        bound("scaling.*", "ratio", "channel-scaling ratio", tol=0.25, unit="x"),
+        equal("cells.*", "victim_flip_events", "protected victim flip events", default=0,
+              when=lambda cell: cell.get("protected")),
+        present("victim?"),
+        flag("victim?", lambda victim: victim.get("skipped") or victim.get("accuracy_unchanged"),
+             "accuracy {post_attack_accuracy}% vs clean {clean_accuracy}%, skipped={skipped}"),
+    ),
+    # Trace replays are deterministic simulation, so every row is exact or self-relative.
+    SERVING_LIVE_SCHEMA: (
+        flag("replay.cells.*", "identical", "matches closed loop", "diverged from closed loop"),
+        present("replay.cells.*"),
+        present("overload.cells.*"),
+        *(equal("overload.cells.*", key) for key in ("sla_fingerprint", "shed")),
+        flag("overload.cells.*", "holds_p99", "sojourn p99 {sojourn_p99_ns}ns holds target "
+             "{p99_target_ns}ns", when=lambda cell: "holds_p99" in cell),
+        bound("overload.cells.*", "sojourn_p99_ns", "admitted sojourn p99", op="<=",
+              ref="overload.cells.open.sojourn_p99_ns", optional=True, unit="ns",
+              when=lambda cell: "p99_target_ns" in cell),
+        present("colocated?"),
+        equal("colocated?", "victim_flip_events", default=0),
+        present("live?"),
+        flag("live?", "conserved", "conserved offered={offered} == served={served} + shed={shed}"),
+    ),
+    # Recovery and fault containment are deterministic; overhead is a noisy ~0.2 s wall ratio.
+    RUNTABLE_BENCH_SCHEMA: (
+        flag("checkpoint", "results_identical", "journalled results identical to plain run_matrix",
+             "journalled results diverged from plain run_matrix"),
+        flag("recovery", "resume_identical", "SIGKILL at {journal_lines_at_kill} journal line(s) + "
+             "--resume is bit-identical", "resumed artifact diverged from uninterrupted run"),
+        flag("recovery", "journal_lines_at_kill", None,
+             "victim run was killed before journalling any cell (resume path not exercised)"),
+        *(equal("chaos", key) for key in ("quarantined", "errors", "recovered")),
+        present("chaos.channel_fault?"),
+        flag("chaos.channel_fault?",
+             lambda fault: fault.get("conserved") and not fault.get("victim_flip_events"),
+             "conserved {offered_ops} = {served_ops} + {shed_ops} ops, {victim_flip_events} flips"),
+        bound("checkpoint", "overhead_ratio", "overhead", op="<=", tol=0.75, optional=True),
+    ),
+    # Detect-and-recover, engines, SLA stats and locker flips are exact; the frontier is a ratio.
+    BAKEOFF_SCHEMA: (
+        present("chaos?"),
+        flag("chaos?", "all_injections_detected",
+             "{injections_detected}/{injected_corruptions} injected corruption(s) detected"),
+        bound("chaos?", "accuracy_delta_pct", op="<=", ref="chaos.accuracy_budget_pct", unit="pp"),
+        flag("chaos?", _latencies, "detection latency recorded for every injection",
+             "detection latency missing for at least one injection"),
+        bound("chaos?", lambda chaos: max(_latencies(chaos) or [None]), "worst detection latency",
+              op="<=", tol=0.25, optional=True, unit="ns"),
+        flag("serving_cells.*", "engine_check.identical", **_ENGINE_CHECK),
+        present("serving_cells.*"),
+        equal("serving_cells.*", "sla_fingerprint"),
+        equal("serving_cells.*", "victim_flip_events", "locker victim flip events", default=0,
+              when=lambda cell: cell.get("defense") == "DRAM-Locker"),
+        present("frontier.*"),
+        bound("frontier.*", "worst_defended_accuracy", tol=0.10, optional=True),
+    ),
+    # Telemetry must be inert (exact); the disabled path has a budget, the enabled one a ratio.
+    OBS_SCHEMA: (
+        flag("cells.*", "payload_identical", "enabled payload bit-identical to disabled run",
+             "telemetry changed the simulation payload"),
+        bound("cells.*", "disabled_pct", "disabled-path overhead", op="<", ref=1.0, unit="%"),
+        present("cells.*"),
+        *(equal("cells.*", key) for key in ("updates", "audit_events")),
+        bound("cells.*", "enabled_ratio", "enabled-path ratio", op="<=", tol=0.50, optional=True),
+    ),
+}
+
+
+def _get(node, path: str):
+    for part in path.split("."):
+        node = node.get(part) if isinstance(node, dict) else None
+    return node
+
+
+def _nodes(document: dict, at: str) -> dict[str, dict]:
+    """The nodes a row gates, by dotted path, in name order."""
+    parent, _, last = at.rpartition(".")
+    if last == "*":
+        section = _get(document, parent)
+        cells = sorted(section.items()) if isinstance(section, dict) else []
+        return {f"{parent}.{name}": cell if isinstance(cell, dict) else {} for name, cell in cells}
+    node = _get(document, at.rstrip("?"))
+    if node is None and at.endswith("?"):
+        return {}
+    return {at.rstrip("?"): node if isinstance(node, dict) else {}}
+
+
+def _value(rule: Rule, node: dict | None):
+    if node is None:
+        return None
+    return rule.key(node) if callable(rule.key) else _get(node, rule.key) if rule.key else node
+
+
+def _gate(rule: Rule, where: str, node: dict, base_node, current: dict):
+    """``(passed, line)`` for one flag, equal or bound node; no line records nothing."""
+    value, label = _value(rule, node), rule.text or rule.key
+    if rule.kind == "flag":
+        text = rule.text if value else rule.fail or rule.text
+        fields = defaultdict(lambda: None, node)
+        return bool(value), text and f"{where}: {text.format_map(fields)}"
+    base = _value(rule, base_node)
+    if rule.kind == "equal":
+        value, base = (rule.default if side is None else side for side in (value, base))
+        if base is None:
+            return True, None  # the baseline does not record this value
+        if value == base:
+            return True, f"{where}: {label} matches baseline"
+        return False, f"{where}: {label} diverged from baseline ({value!r} != {base!r})"
+    if rule.ref is None and base_node is None:
+        return True, None  # a cell new in this run has nothing to regress from
+    ref = base if rule.ref is None else rule.ref
+    ref = _get(current, ref) if isinstance(rule.ref, str) else ref
+    if rule.optional and (value is None or ref is None):
+        return True, None
+    if not all(isinstance(side, (int, float)) and not isinstance(side, bool)
+               for side in (value, ref)):
+        return False, f"{where}: {label} missing or non-numeric ({value!r} vs {ref!r})"
+    passes, word = _OPS[rule.op]
+    limit, unit = ref * (1.0 - rule.tol if rule.op == ">=" else 1.0 + rule.tol), rule.unit
+    against = f"baseline {ref:.4g}{unit}" if rule.ref is None else rule.ref
+    line = f"{where}: {label} {value:.4g}{unit} vs {against} ({word} {limit:.2f}{unit})"
+    return passes(value, limit), line
+
+
+def compare(current: dict, baseline: dict) -> RegressionReport:
+    """Gate ``current`` against ``baseline`` with the rows of its schema.  A pair
+    of an unknown or of two schemas raises :class:`ArtifactError`: it would skip
+    every baseline-relative row and pass vacuously."""
+    schema = current.get("schema")
+    if schema not in RULES:
+        raise ArtifactError(f"unknown artifact schema {schema!r}")
+    if baseline.get("schema") != schema:
+        raise ArtifactError(f"current schema {schema!r} != baseline {baseline.get('schema')!r}")
     report = RegressionReport()
-
-    for payload_name, payload in current.get("results", {}).items():
-        if isinstance(payload, dict) and "error" in payload:
-            report.violations.append(
-                f"scenario {payload_name!r} failed: "
-                f"{str(payload['error']).splitlines()[-1]}"
-            )
-
-    base_total = baseline.get("timing", {}).get("total_s")
-    cur_total = current.get("timing", {}).get("total_s")
-    if base_total and cur_total is not None:
-        limit = base_total * (1.0 + runtime_tolerance)
-        check = (
-            f"runtime {cur_total:.2f}s vs baseline {base_total:.2f}s "
-            f"(limit {limit:.2f}s)"
-        )
-        if cur_total > limit:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-
-    base_acc = protected_accuracies(baseline)
-    cur_acc = protected_accuracies(current)
-    for name, base_value in sorted(base_acc.items()):
-        if name not in cur_acc:
-            report.violations.append(
-                f"protected accuracy for {name!r} missing from current artifact"
-            )
+    for rule in RULES[schema]:
+        nodes, base_nodes = _nodes(current, rule.at), _nodes(baseline, rule.at)
+        if rule.kind == "present":
+            report.violations += [
+                f"{where}{': ' + rule.text if rule.key else ''} missing from current artifact"
+                for where, base_node in base_nodes.items()
+                if _value(rule, base_node) is not None and _value(rule, nodes.get(where)) is None
+            ]
             continue
-        floor = base_value * (1.0 - accuracy_tolerance)
-        check = (
-            f"{name}: protected accuracy {cur_acc[name]:.2f}% vs baseline "
-            f"{base_value:.2f}% (floor {floor:.2f}%)"
-        )
-        if cur_acc[name] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_attack_search(
-    current: dict,
-    baseline: dict,
-    speedup_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the attack-search microbenchmark artifact.
-
-    Two things must hold: the suffix engine still matches the
-    full-forward reference bit-for-bit in every recorded cell (a
-    correctness property, no tolerance), and each cell's *speedup
-    ratio* has not shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.  Ratios -- unlike wall-clock seconds --
-    transfer across runner classes, so this check is meaningful even
-    when the absolute timings are not.
-    """
-    report = RegressionReport()
-    current_families = current.get("families", {})
-    for name, cell in sorted(current_families.items()):
-        if not cell.get("results_identical", False):
-            report.violations.append(
-                f"{name}: suffix engine diverged from the full-forward "
-                "reference"
-            )
-    for name, base_cell in sorted(baseline.get("families", {}).items()):
-        cell = current_families.get(name)
-        if cell is None:
-            report.violations.append(
-                f"family {name!r} missing from current artifact"
-            )
-            continue
-        floor = base_cell["speedup"] * (1.0 - speedup_tolerance)
-        check = (
-            f"{name}: speedup {cell['speedup']:.2f}x vs baseline "
-            f"{base_cell['speedup']:.2f}x (floor {floor:.2f}x)"
-        )
-        if cell["speedup"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    pool = current.get("pool", {})
-    if pool and not pool.get("results_identical", True):
-        report.violations.append(
-            "persistent worker pool changed matrix results"
-        )
-    return report
-
-
-def compare_serving(
-    current: dict,
-    baseline: dict,
-    throughput_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the serving benchmark artifact.
-
-    Four properties:
-
-    * **SLA-stat equivalence** (no tolerance): every cell's
-      deterministic SLA fingerprint -- request/issued/blocked tallies
-      and latency percentiles, all *simulated* quantities that transfer
-      across runner classes -- must equal the committed baseline
-      exactly; a drift means the serving path's behaviour changed.
-    * **Engine equivalence** (no tolerance): every current cell that
-      recorded an ``engine_check`` must report the events-engine
-      payload bit-identical to the bulk reference (the scalar <= bulk
-      <= events contract in ``docs/ARCHITECTURE.md``).
-    * **Channel scaling**: each defense's 1-to-max-channel aggregate
-      requests/sec ratio must not shrink more than
-      ``throughput_tolerance`` versus the baseline (ratios of simulated
-      throughput, so they transfer too).
-    * **Protection intact** (no tolerance): every locker cell's victim
-      flip-event count equals the committed baseline's -- zero for any
-      cell the baseline does not know.  (The count is deterministic;
-      at high channel counts a pinned nonzero count records a known
-      unlock-SWAP-failure exposure event, not a regression.)  The
-      model-victim probe's accuracy must be unchanged under the
-      co-located attack.
-    """
-    report = RegressionReport()
-    current_cells = current.get("cells", {})
-    for name, cell in sorted(current_cells.items()):
-        engine_check = cell.get("engine_check")
-        if engine_check is None:
-            continue
-        check = f"{name}: events engine bit-identical to bulk reference"
-        if engine_check.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: events engine diverged from the bulk reference"
-            )
-    for name, base_cell in sorted(baseline.get("cells", {}).items()):
-        cell = current_cells.get(name)
-        if cell is None:
-            report.violations.append(f"cell {name!r} missing from current artifact")
-            continue
-        base_sla = base_cell.get("sla_fingerprint")
-        if base_sla is not None:
-            check = f"{name}: SLA fingerprint matches baseline"
-            if cell.get("sla_fingerprint") != base_sla:
-                report.violations.append(
-                    f"{name}: SLA fingerprint diverged from baseline "
-                    f"({cell.get('sla_fingerprint')} != {base_sla})"
-                )
-            else:
-                report.checks.append(check)
-    for defense, base_scale in sorted(baseline.get("scaling", {}).items()):
-        scale = current.get("scaling", {}).get(defense)
-        if scale is None:
-            report.violations.append(
-                f"scaling entry {defense!r} missing from current artifact"
-            )
-            continue
-        floor = base_scale["ratio"] * (1.0 - throughput_tolerance)
-        check = (
-            f"{defense}: channel-scaling ratio {scale['ratio']:.2f}x vs "
-            f"baseline {base_scale['ratio']:.2f}x (floor {floor:.2f}x)"
-        )
-        if scale["ratio"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    for name, cell in sorted(current_cells.items()):
-        if not cell.get("protected"):
-            continue
-        flips = cell.get("victim_flip_events", 0)
-        base_flips = (
-            baseline.get("cells", {}).get(name, {}).get("victim_flip_events", 0)
-        )
-        check = (
-            f"{name}: protected victim flip events {flips} "
-            f"(baseline {base_flips})"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    victim = current.get("victim")
-    if victim is None:
-        # The probe may only be absent when the baseline never had it;
-        # a silent drop of a gated section is itself a regression.
-        if baseline.get("victim") is not None:
-            report.violations.append(
-                "model-victim probe missing from current artifact"
-            )
-    elif victim.get("skipped"):
-        # Recorded with --skip-model-victim: explicit, so not a drop.
-        report.checks.append("model-victim probe explicitly skipped")
-    else:
-        check = (
-            f"model victim accuracy {victim.get('post_attack_accuracy'):.2f}% "
-            f"vs clean {victim.get('clean_accuracy'):.2f}% under attack"
-        )
-        if not victim.get("accuracy_unchanged"):
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_serving_live(
-    current: dict,
-    baseline: dict,
-) -> RegressionReport:
-    """Regression gate for the live-frontend serving artifact.
-
-    Everything compared is a *simulated* quantity (deterministic
-    replays of recorded traces), so the gate is exact -- no tolerances:
-
-    * **Replay equivalence**: every recorded replay cell must report
-      the infinite-speedup replay bit-identical to the closed-loop run
-      of the same config (the replay-equivalence contract,
-      ``docs/SERVING.md``).
-    * **Overload determinism**: each overload cell's SLA fingerprint
-      and shed count must equal the committed baseline's exactly.
-    * **Admission effectiveness**: every admitted overload cell that
-      records ``holds_p99`` must hold its sojourn target, and no
-      admitted cell's sojourn p99 may exceed the unadmitted (open)
-      cell's -- shedding must never make the tail *worse*.
-    * **Protection intact**: the co-located cell's victim flip events
-      must equal the baseline's (zero) while admission sheds load.
-    * **Conservation**: the wall-clock-paced live run must report
-      ``offered == served + shed`` (wall seconds themselves are not
-      compared; they do not transfer across runner classes).
-    """
-    report = RegressionReport()
-
-    current_replay = current.get("replay", {}).get("cells", {})
-    for name, cell in sorted(current_replay.items()):
-        check = f"replay {name}: bit-identical to the closed loop"
-        if cell.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"replay {name}: diverged from the closed loop"
-            )
-    for name in sorted(baseline.get("replay", {}).get("cells", {})):
-        if name not in current_replay:
-            report.violations.append(
-                f"replay cell {name!r} missing from current artifact"
-            )
-
-    current_overload = current.get("overload", {}).get("cells", {})
-    for name, base_cell in sorted(
-        baseline.get("overload", {}).get("cells", {}).items()
-    ):
-        cell = current_overload.get(name)
-        if cell is None:
-            report.violations.append(
-                f"overload cell {name!r} missing from current artifact"
-            )
-            continue
-        for key in ("sla_fingerprint", "shed"):
-            if key not in base_cell:
-                continue
-            check = f"overload {name}: {key} matches baseline"
-            if cell.get(key) != base_cell[key]:
-                report.violations.append(
-                    f"overload {name}: {key} diverged from baseline "
-                    f"({cell.get(key)} != {base_cell[key]})"
-                )
-            else:
-                report.checks.append(check)
-    open_cell = current_overload.get("open", {})
-    open_p99 = open_cell.get("sojourn_p99_ns")
-    for name, cell in sorted(current_overload.items()):
-        if "holds_p99" in cell:
-            check = (
-                f"overload {name}: sojourn p99 "
-                f"{cell.get('sojourn_p99_ns', float('nan')):.0f}ns holds "
-                f"target {cell.get('p99_target_ns', float('nan')):.0f}ns"
-            )
-            if cell["holds_p99"]:
-                report.checks.append(check)
-            else:
-                report.violations.append(check)
-        if name == "open" or open_p99 is None:
-            continue
-        p99 = cell.get("sojourn_p99_ns")
-        if p99 is not None:
-            check = (
-                f"overload {name}: admitted sojourn p99 {p99:.0f}ns <= "
-                f"open {open_p99:.0f}ns"
-            )
-            if p99 <= open_p99:
-                report.checks.append(check)
-            else:
-                report.violations.append(check)
-
-    colocated = current.get("colocated")
-    base_colocated = baseline.get("colocated")
-    if colocated is None:
-        if base_colocated is not None:
-            report.violations.append(
-                "co-located cell missing from current artifact"
-            )
-    else:
-        base_flips = (base_colocated or {}).get("victim_flip_events", 0)
-        flips = colocated.get("victim_flip_events", 0)
-        check = (
-            f"co-located: victim flip events {flips} "
-            f"(baseline {base_flips}) with {colocated.get('shed', 0)} "
-            "ops shed"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-
-    live = current.get("live")
-    if live is None:
-        if baseline.get("live") is not None:
-            report.violations.append(
-                "live pacing section missing from current artifact"
-            )
-    else:
-        check = (
-            f"live: conservation offered={live.get('offered')} == "
-            f"served={live.get('served')} + shed={live.get('shed')}"
-        )
-        if live.get("conserved"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
-    return report
-
-
-def compare_defended_hammer(
-    current: dict,
-    baseline: dict,
-    speedup_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the defended-hammer microbenchmark artifact.
-
-    Mirrors :func:`compare_attack_search`: the bulk engine must still
-    match the scalar reference bit-for-bit in every defense cell (a
-    correctness property, no tolerance), and each cell's *speedup
-    ratio* -- which transfers across runner classes, unlike wall-clock
-    -- must not have shrunk more than ``speedup_tolerance`` versus the
-    committed baseline.
-    """
-    report = RegressionReport()
-    current_defenses = current.get("defenses", {})
-    for name, cell in sorted(current_defenses.items()):
-        if not cell.get("results_identical", False):
-            report.violations.append(
-                f"{name}: bulk engine diverged from the scalar reference"
-            )
-    for name, base_cell in sorted(baseline.get("defenses", {}).items()):
-        cell = current_defenses.get(name)
-        if cell is None:
-            report.violations.append(
-                f"defense {name!r} missing from current artifact"
-            )
-            continue
-        floor = base_cell["speedup"] * (1.0 - speedup_tolerance)
-        check = (
-            f"{name}: speedup {cell['speedup']:.2f}x vs baseline "
-            f"{base_cell['speedup']:.2f}x (floor {floor:.2f}x)"
-        )
-        if cell["speedup"] < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_runtable(
-    current: dict,
-    baseline: dict,
-    overhead_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the run-table orchestration artifact.
-
-    The fleet properties the orchestration layer exists to provide are
-    all deterministic, so most of the gate is exact:
-
-    * **Checkpoint transparency**: the checkpointed table's results
-      must be bit-identical to a plain ``run_matrix`` sweep of the
-      same cells (``results_identical``) -- journalling must never
-      change what is computed.
-    * **Crash recovery**: the subprocess SIGKILLed mid-sweep and
-      resumed with ``--resume`` must emit a results section
-      bit-identical to the uninterrupted run (``resume_identical``),
-      and must actually have resumed from a non-empty journal.
-    * **Fault containment**: the chaos table must quarantine exactly
-      its always-crashing cells (count pinned to the baseline's),
-      recover its crash-once cells, and its channel-fault cell must
-      conserve ``offered == served + shed`` with zero victim flips
-      under DRAM-Locker.
-    * **Checkpoint overhead**: the journalled run's wall-clock
-      overhead *ratio* over the plain sweep -- which transfers across
-      runner classes, unlike wall seconds -- must not exceed the
-      baseline's by more than ``overhead_tolerance``.
-    """
-    report = RegressionReport()
-
-    checkpoint = current.get("checkpoint", {})
-    if checkpoint.get("results_identical"):
-        report.checks.append(
-            "checkpoint: journalled results identical to plain run_matrix"
-        )
-    else:
-        report.violations.append(
-            "checkpoint: journalled results diverged from plain run_matrix"
-        )
-
-    recovery = current.get("recovery", {})
-    if recovery.get("resume_identical"):
-        report.checks.append(
-            f"recovery: SIGKILL at {recovery.get('journal_lines_at_kill')} "
-            "journal line(s) + --resume is bit-identical"
-        )
-    else:
-        report.violations.append(
-            "recovery: resumed artifact diverged from uninterrupted run"
-        )
-    if not recovery.get("journal_lines_at_kill", 0):
-        report.violations.append(
-            "recovery: victim run was killed before journalling any cell "
-            "(resume path not exercised)"
-        )
-
-    chaos = current.get("chaos", {})
-    base_chaos = baseline.get("chaos", {})
-    for key in ("quarantined", "errors", "recovered"):
-        if key not in base_chaos:
-            continue
-        check = (
-            f"chaos: {key} {chaos.get(key)} == baseline {base_chaos[key]}"
-        )
-        if chaos.get(key) != base_chaos[key]:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    fault = chaos.get("channel_fault")
-    if fault is None:
-        if base_chaos.get("channel_fault") is not None:
-            report.violations.append(
-                "chaos: channel-fault cell missing from current artifact"
-            )
-    else:
-        check = (
-            f"chaos: channel fault conserved offered="
-            f"{fault.get('offered_ops')} == served={fault.get('served_ops')}"
-            f" + shed={fault.get('shed_ops')} with "
-            f"{fault.get('victim_flip_events')} victim flip(s)"
-        )
-        if fault.get("conserved") and not fault.get("victim_flip_events"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
-
-    overhead = checkpoint.get("overhead_ratio")
-    base_overhead = baseline.get("checkpoint", {}).get("overhead_ratio")
-    if overhead is not None and base_overhead is not None:
-        ceiling = base_overhead * (1.0 + overhead_tolerance)
-        check = (
-            f"checkpoint: overhead {overhead:.2f}x vs baseline "
-            f"{base_overhead:.2f}x (ceiling {ceiling:.2f}x)"
-        )
-        if overhead > ceiling:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_bakeoff(
-    current: dict,
-    baseline: dict,
-    accuracy_tolerance: float = 0.10,
-    latency_tolerance: float = 0.25,
-) -> RegressionReport:
-    """Regression gate for the defense bake-off artifact.
-
-    Everything behavioural in the bake-off is deterministic simulation,
-    so most of the gate is exact:
-
-    * **Chaos-cell contract** (no tolerance, self-contained): every
-      injected corruption detected (``all_injections_detected``), every
-      injection's detection latency recorded, and post-recovery
-      accuracy within the cell's committed ``accuracy_budget_pct`` of
-      the clean baseline.
-    * **Engine equivalence** (no tolerance): every serving cell that
-      recorded an ``engine_check`` must report the bulk and events
-      payloads bit-identical.
-    * **Prevention intact** (no tolerance): each DRAM-Locker serving
-      cell's victim flip-event count equals the baseline's -- zero for
-      cells the baseline does not know.
-    * **SLA-stat equivalence** (no tolerance): serving-cell SLA
-      fingerprints equal the committed baseline's exactly.
-    * **Protection frontier**: per defense, the *worst* defended
-      accuracy across the attack matrix must not shrink more than
-      ``accuracy_tolerance`` (fractional) versus the baseline, and the
-      chaos cell's detection latency must not grow more than
-      ``latency_tolerance``.
-    """
-    report = RegressionReport()
-
-    chaos = current.get("chaos")
-    base_chaos = baseline.get("chaos")
-    if chaos is None:
-        if base_chaos is not None:
-            report.violations.append(
-                "chaos cell missing from current artifact"
-            )
-    else:
-        check = (
-            f"chaos: {chaos.get('injections_detected')}/"
-            f"{chaos.get('injected_corruptions')} injected corruption(s) "
-            "detected"
-        )
-        if chaos.get("all_injections_detected"):
-            report.checks.append(check)
-        else:
-            report.violations.append(check)
-        budget = chaos.get("accuracy_budget_pct", 0.5)
-        delta = chaos.get("accuracy_delta_pct")
-        check = (
-            f"chaos: post-recovery accuracy within {budget}pp of clean "
-            f"(delta {delta}pp)"
-        )
-        if delta is None or delta > budget:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-        latencies = chaos.get("detection_latency_ns", [])
-        check = (
-            f"chaos: detection latency recorded for "
-            f"{len(latencies)} injection(s)"
-        )
-        if not latencies or any(value is None for value in latencies):
-            report.violations.append(
-                "chaos: detection latency missing for at least one "
-                "injection"
-            )
-        else:
-            report.checks.append(check)
-        base_latencies = (base_chaos or {}).get("detection_latency_ns")
-        measurable = (
-            latencies
-            and base_latencies
-            and all(value is not None for value in latencies)
-            and all(value is not None for value in base_latencies)
-        )
-        if measurable:
-            ceiling = max(base_latencies) * (1.0 + latency_tolerance)
-            worst = max(latencies)
-            check = (
-                f"chaos: worst detection latency {worst:.0f}ns vs "
-                f"baseline {max(base_latencies):.0f}ns "
-                f"(ceiling {ceiling:.0f}ns)"
-            )
-            # An all-zero baseline (detected at the injection-slice
-            # probe) pins the current run to zero as well.
-            if worst > ceiling and worst > max(base_latencies):
-                report.violations.append(check)
-            else:
-                report.checks.append(check)
-
-    current_serving = current.get("serving_cells", {})
-    for name, cell in sorted(current_serving.items()):
-        engine_check = cell.get("engine_check")
-        if engine_check is None:
-            continue
-        check = f"{name}: events engine bit-identical to bulk reference"
-        if engine_check.get("identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: events engine diverged from the bulk reference"
-            )
-    for name, base_cell in sorted(baseline.get("serving_cells", {}).items()):
-        cell = current_serving.get(name)
-        if cell is None:
-            report.violations.append(
-                f"serving cell {name!r} missing from current artifact"
-            )
-            continue
-        base_sla = base_cell.get("sla_fingerprint")
-        if base_sla is not None:
-            check = f"{name}: SLA fingerprint matches baseline"
-            if cell.get("sla_fingerprint") != base_sla:
-                report.violations.append(
-                    f"{name}: SLA fingerprint diverged from baseline "
-                    f"({cell.get('sla_fingerprint')} != {base_sla})"
-                )
-            else:
-                report.checks.append(check)
-    for name, cell in sorted(current_serving.items()):
-        if cell.get("defense") != "DRAM-Locker":
-            continue
-        flips = cell.get("victim_flip_events", 0)
-        base_flips = (
-            baseline.get("serving_cells", {})
-            .get(name, {})
-            .get("victim_flip_events", 0)
-        )
-        check = (
-            f"{name}: locker victim flip events {flips} "
-            f"(baseline {base_flips})"
-        )
-        if flips != base_flips:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-
-    current_frontier = current.get("frontier", {})
-    for defense, base_point in sorted(baseline.get("frontier", {}).items()):
-        point = current_frontier.get(defense)
-        if point is None:
-            report.violations.append(
-                f"frontier point {defense!r} missing from current artifact"
-            )
-            continue
-        base_worst = base_point.get("worst_defended_accuracy")
-        worst = point.get("worst_defended_accuracy")
-        if base_worst is None or worst is None:
-            continue
-        floor = base_worst * (1.0 - accuracy_tolerance)
-        check = (
-            f"{defense}: worst defended accuracy {worst:.2f}% vs "
-            f"baseline {base_worst:.2f}% (floor {floor:.2f}%)"
-        )
-        if worst < floor:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    return report
-
-
-def compare_obs(
-    current: dict,
-    baseline: dict,
-    disabled_budget_pct: float = 1.0,
-    enabled_tolerance: float = 0.50,
-) -> RegressionReport:
-    """Regression gate for the telemetry-overhead artifact.
-
-    The telemetry core's contract has two halves, and the gate checks
-    both:
-
-    * **Observational inertness** (no tolerance, self-contained):
-      every cell run with telemetry enabled must produce a payload
-      bit-identical to the disabled run (``payload_identical``), and
-      the deterministic event counts -- metric ``updates`` and
-      ``audit_events`` -- must equal the committed baseline's exactly.
-      A drift means instrumentation leaked into simulation state.
-    * **Zero overhead when disabled** (absolute budget, self-contained):
-      each cell's ``disabled_pct`` -- the measured per-guard check cost
-      times the number of guard sites hit, as a percentage of the
-      cell's telemetry-off runtime -- must stay under
-      ``disabled_budget_pct``.  The estimate is built from a guard
-      microbenchmark rather than differencing two noisy wall-clock
-      runs, so it is stable enough to gate on in CI.
-
-    The *enabled* path is allowed to cost real time; its ``enabled_ratio``
-    (on/off wall-clock) only has to stay within ``enabled_tolerance``
-    of the committed baseline's ratio -- ratios transfer across runner
-    classes, wall seconds do not.
-    """
-    report = RegressionReport()
-    current_cells = current.get("cells", {})
-    for name, cell in sorted(current_cells.items()):
-        check = f"{name}: enabled payload bit-identical to disabled run"
-        if cell.get("payload_identical"):
-            report.checks.append(check)
-        else:
-            report.violations.append(
-                f"{name}: telemetry changed the simulation payload"
-            )
-        pct = cell.get("disabled_pct")
-        check = (
-            f"{name}: disabled-path overhead {pct if pct is None else round(pct, 4)}% "
-            f"(budget {disabled_budget_pct}%)"
-        )
-        if pct is None or pct >= disabled_budget_pct:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
-    for name, base_cell in sorted(baseline.get("cells", {}).items()):
-        cell = current_cells.get(name)
-        if cell is None:
-            report.violations.append(f"cell {name!r} missing from current artifact")
-            continue
-        for key in ("updates", "audit_events"):
-            if key not in base_cell:
-                continue
-            check = (
-                f"{name}: {key} {cell.get(key)} == baseline {base_cell[key]}"
-            )
-            if cell.get(key) != base_cell[key]:
-                report.violations.append(
-                    f"{name}: {key} diverged from baseline "
-                    f"({cell.get(key)} != {base_cell[key]})"
-                )
-            else:
-                report.checks.append(check)
-        base_ratio = base_cell.get("enabled_ratio")
-        ratio = cell.get("enabled_ratio")
-        if base_ratio is None or ratio is None:
-            continue
-        ceiling = base_ratio * (1.0 + enabled_tolerance)
-        check = (
-            f"{name}: enabled-path ratio {ratio:.3f}x vs baseline "
-            f"{base_ratio:.3f}x (ceiling {ceiling:.3f}x)"
-        )
-        if ratio > ceiling:
-            report.violations.append(check)
-        else:
-            report.checks.append(check)
+        for where, node in nodes.items():
+            if rule.when is None or rule.when(node):
+                ok, line = _gate(rule, where, node, base_nodes.get(where), current)
+                if line:
+                    (report.checks if ok else report.violations).append(line)
     return report

@@ -16,7 +16,7 @@ Pins the PR's contracts:
   bit-identical across the bulk and events engines;
 * ``run_attack_scenario(defense=...)`` reports the defense section
   only when a defense is named (payload-shape preservation);
-* the ``compare_bakeoff`` regression gate.
+* the ``BAKEOFF_SCHEMA`` rows of the regression gate.
 """
 
 import copy
@@ -30,7 +30,7 @@ from repro.defenses.builders import resolve_serving_defense
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.eval.harness import _run_defense_bakeoff, bakeoff_scenarios
 from repro.eval.experiments import Scale, run_attack_scenario
-from repro.eval.regression import BAKEOFF_SCHEMA, compare_bakeoff
+from repro.eval.regression import BAKEOFF_SCHEMA, compare
 from repro.serving import HealthConfig
 
 
@@ -339,61 +339,61 @@ def _bakeoff_artifact() -> dict:
 
 class TestBakeoffGate:
     def test_identical_artifacts_pass(self):
-        report = compare_bakeoff(_bakeoff_artifact(), _bakeoff_artifact())
+        report = compare(_bakeoff_artifact(), _bakeoff_artifact())
         assert report.ok, report.summary()
 
     def test_missed_injection_fails(self):
         current = _bakeoff_artifact()
         current["chaos"]["injections_detected"] = 0
         current["chaos"]["all_injections_detected"] = False
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_accuracy_over_budget_fails(self):
         current = _bakeoff_artifact()
         current["chaos"]["accuracy_delta_pct"] = 0.8
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_missing_detection_latency_fails(self):
         current = _bakeoff_artifact()
         current["chaos"]["detection_latency_ns"] = [None]
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_latency_growth_fails(self):
         current = _bakeoff_artifact()
         current["chaos"]["detection_latency_ns"] = [200.0]
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_engine_divergence_fails(self):
         current = _bakeoff_artifact()
         cell = current["serving_cells"]["bakeoff-serving-radar-ch1"]
         cell["engine_check"]["identical"] = False
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_locker_flip_drift_fails(self):
         current = _bakeoff_artifact()
         current["serving_cells"]["bakeoff-serving-dram-locker-ch1"][
             "victim_flip_events"
         ] = 1
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_sla_drift_fails(self):
         current = _bakeoff_artifact()
         current["serving_cells"]["bakeoff-serving-radar-ch1"][
             "sla_fingerprint"
         ] = {"requests": 99}
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_frontier_shrink_fails(self):
         current = _bakeoff_artifact()
         current["frontier"]["RADAR"]["worst_defended_accuracy"] = 80.0
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_missing_cell_fails(self):
         current = _bakeoff_artifact()
         del current["serving_cells"]["bakeoff-serving-dram-locker-ch1"]
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok
 
     def test_missing_chaos_fails(self):
         current = _bakeoff_artifact()
         current["chaos"] = None
-        assert not compare_bakeoff(current, _bakeoff_artifact()).ok
+        assert not compare(current, _bakeoff_artifact()).ok

@@ -1,17 +1,35 @@
 """The benchmark-regression comparison behind the nightly CI gate."""
 
+import copy
 import json
+import os
+import sys
+
+import pytest
 
 from repro.eval.regression import (
-    compare_artifacts,
+    HARNESS_SCHEMA,
+    compare,
     load_artifact,
     protected_accuracies,
 )
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ARTIFACTS = os.path.join(REPO, "benchmarks", "artifacts")
+
+
+def _check_main():
+    sys.path.insert(0, os.path.join(REPO, "benchmarks"))
+    try:
+        from check_regression import main
+    finally:
+        sys.path.pop(0)
+    return main
+
 
 def artifact(total_s=10.0, results=None):
     return {
-        "schema": "dram-locker-bench/1",
+        "schema": HARNESS_SCHEMA,
         "results": results or {},
         "timing": {"total_s": total_s},
     }
@@ -42,27 +60,25 @@ class TestCompare:
     def test_clean_comparison_passes(self):
         base = artifact(10.0, {"a-locked": LOCKED_ATTACK})
         cur = artifact(10.5, {"a-locked": dict(LOCKED_ATTACK)})
-        report = compare_artifacts(cur, base)
+        report = compare(cur, base)
         assert report.ok
         assert len(report.checks) == 2  # runtime + one accuracy
 
     def test_runtime_regression_fails(self):
-        report = compare_artifacts(artifact(12.0), artifact(10.0))
+        report = compare(artifact(12.0), artifact(10.0))
         assert not report.ok
         assert "runtime" in report.violations[0]
 
     def test_runtime_within_tolerance_passes(self):
-        assert compare_artifacts(artifact(10.9), artifact(10.0)).ok
-        assert not compare_artifacts(
-            artifact(10.9), artifact(10.0), runtime_tolerance=0.05
-        ).ok
+        assert compare(artifact(10.9), artifact(10.0)).ok
+        assert not compare(artifact(11.1), artifact(10.0)).ok
 
     def test_protected_accuracy_drop_fails(self):
         base = artifact(10.0, {"a-locked": {"protected": True,
                                             "final_accuracy": 90.0}})
         cur = artifact(10.0, {"a-locked": {"protected": True,
                                            "final_accuracy": 70.0}})
-        report = compare_artifacts(cur, base)
+        report = compare(cur, base)
         assert not report.ok
         assert "a-locked" in report.violations[0]
 
@@ -73,17 +89,17 @@ class TestCompare:
                                           "final_accuracy": 50.0}})
         cur = artifact(10.0, {"a-open": {"protected": False,
                                          "final_accuracy": 5.0}})
-        assert compare_artifacts(cur, base).ok
+        assert compare(cur, base).ok
 
     def test_missing_scenario_fails(self):
         base = artifact(10.0, {"a-locked": LOCKED_ATTACK})
-        report = compare_artifacts(artifact(10.0), base)
+        report = compare(artifact(10.0), base)
         assert not report.ok
         assert "missing" in report.violations[0]
 
     def test_errored_current_scenario_fails(self):
         cur = artifact(10.0, {"x": {"error": "ValueError: nope"}})
-        report = compare_artifacts(cur, artifact(10.0))
+        report = compare(cur, artifact(10.0))
         assert not report.ok
         assert "failed" in report.violations[0]
 
@@ -91,7 +107,7 @@ class TestCompare:
         base = artifact(10.0, {"a-locked": LOCKED_ATTACK})
         cur = artifact(20.0, {"a-locked": {"protected": True,
                                            "final_accuracy": 10.0}})
-        summary = compare_artifacts(cur, base).summary()
+        summary = compare(cur, base).summary()
         assert "REGRESSION" in summary and "runtime" in summary
 
 
@@ -122,18 +138,18 @@ CELL = {"full_s": 6.0, "suffix_s": 1.5, "speedup": 4.0,
 
 class TestCompareAttackSearch:
     def test_matching_artifacts_pass(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
         doc = search_artifact({"tbfa-locked": dict(CELL)})
-        report = compare_attack_search(doc, doc)
+        report = compare(doc, doc)
         assert report.ok
         assert "tbfa-locked" in report.summary()
 
     def test_divergent_engine_fails(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
         bad = dict(CELL, results_identical=False)
-        report = compare_attack_search(
+        report = compare(
             search_artifact({"bfa-locked": bad}),
             search_artifact({"bfa-locked": dict(CELL)}),
         )
@@ -141,32 +157,30 @@ class TestCompareAttackSearch:
         assert "diverged" in report.violations[0]
 
     def test_speedup_ratio_regression_fails(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
-        slow = dict(CELL, speedup=2.0)
-        report = compare_attack_search(
+        slow = dict(CELL, speedup=2.5)
+        report = compare(
             search_artifact({"bfa-locked": slow}),
             search_artifact({"bfa-locked": dict(CELL)}),
-            speedup_tolerance=0.25,
         )
         assert not report.ok
-        assert "floor 3.00x" in report.violations[0]
+        assert "floor 2.60x" in report.violations[0]
 
     def test_speedup_within_tolerance_passes(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
-        slightly_slow = dict(CELL, speedup=3.2)
-        report = compare_attack_search(
+        slightly_slow = dict(CELL, speedup=2.7)
+        report = compare(
             search_artifact({"bfa-locked": slightly_slow}),
             search_artifact({"bfa-locked": dict(CELL)}),
-            speedup_tolerance=0.25,
         )
         assert report.ok
 
     def test_missing_family_fails(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
-        report = compare_attack_search(
+        report = compare(
             search_artifact({}),
             search_artifact({"bfa-locked": dict(CELL)}),
         )
@@ -174,21 +188,15 @@ class TestCompareAttackSearch:
         assert "missing" in report.violations[0]
 
     def test_pool_divergence_fails(self):
-        from repro.eval.regression import compare_attack_search
+        from repro.eval.regression import compare
 
-        report = compare_attack_search(
+        report = compare(
             search_artifact({}, pool_identical=False), search_artifact({})
         )
         assert not report.ok
 
     def test_cli_dispatches_on_schema(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from check_regression import main as check_main
-        finally:
-            sys.path.pop(0)
+        check_main = _check_main()
         current = tmp_path / "BENCH_attack_search.json"
         baseline = tmp_path / "BENCH_attack_search_baseline.json"
         doc = search_artifact({"tbfa-locked": dict(CELL)})
@@ -218,18 +226,18 @@ HAMMER_CELL = {"scalar_s": 0.18, "bulk_s": 0.01, "speedup": 18.0,
 
 class TestCompareDefendedHammer:
     def test_matching_artifacts_pass(self):
-        from repro.eval.regression import compare_defended_hammer
+        from repro.eval.regression import compare
 
         doc = hammer_artifact({"trr": dict(HAMMER_CELL)})
-        report = compare_defended_hammer(doc, doc)
+        report = compare(doc, doc)
         assert report.ok
         assert "trr" in report.summary()
 
     def test_divergent_engine_fails(self):
-        from repro.eval.regression import compare_defended_hammer
+        from repro.eval.regression import compare
 
         bad = dict(HAMMER_CELL, results_identical=False)
-        report = compare_defended_hammer(
+        report = compare(
             hammer_artifact({"para": bad}),
             hammer_artifact({"para": dict(HAMMER_CELL)}),
         )
@@ -237,21 +245,24 @@ class TestCompareDefendedHammer:
         assert "diverged" in report.violations[0]
 
     def test_speedup_ratio_regression_fails(self):
-        from repro.eval.regression import compare_defended_hammer
+        from repro.eval.regression import compare
 
-        slow = dict(HAMMER_CELL, speedup=4.0)
-        report = compare_defended_hammer(
+        slow = dict(HAMMER_CELL, speedup=11.5)
+        report = compare(
             hammer_artifact({"trr": slow}),
             hammer_artifact({"trr": dict(HAMMER_CELL)}),
-            speedup_tolerance=0.25,
         )
         assert not report.ok
-        assert "floor 13.50x" in report.violations[0]
+        assert "floor 11.70x" in report.violations[0]
+        assert compare(
+            hammer_artifact({"trr": dict(HAMMER_CELL, speedup=11.9)}),
+            hammer_artifact({"trr": dict(HAMMER_CELL)}),
+        ).ok
 
     def test_missing_defense_fails(self):
-        from repro.eval.regression import compare_defended_hammer
+        from repro.eval.regression import compare
 
-        report = compare_defended_hammer(
+        report = compare(
             hammer_artifact({}),
             hammer_artifact({"hydra": dict(HAMMER_CELL)}),
         )
@@ -259,13 +270,7 @@ class TestCompareDefendedHammer:
         assert "missing" in report.violations[0]
 
     def test_cli_dispatches_on_schema(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from check_regression import main as check_main
-        finally:
-            sys.path.pop(0)
+        check_main = _check_main()
         current = tmp_path / "BENCH_defended_hammer.json"
         baseline = tmp_path / "BENCH_defended_hammer_baseline.json"
         doc = hammer_artifact({"graphene": dict(HAMMER_CELL)})
@@ -311,15 +316,15 @@ def runtable_artifact(**overrides):
 
 class TestCompareRuntable:
     def test_identical_passes(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        report = compare_runtable(runtable_artifact(), runtable_artifact())
+        report = compare(runtable_artifact(), runtable_artifact())
         assert report.ok and len(report.checks) >= 6
 
     def test_checkpoint_divergence_fails(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        report = compare_runtable(
+        report = compare(
             runtable_artifact(checkpoint={"results_identical": False}),
             runtable_artifact(),
         )
@@ -327,18 +332,18 @@ class TestCompareRuntable:
         assert "diverged from plain run_matrix" in report.violations[0]
 
     def test_resume_divergence_fails(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        report = compare_runtable(
+        report = compare(
             runtable_artifact(recovery={"resume_identical": False}),
             runtable_artifact(),
         )
         assert not report.ok
 
     def test_unexercised_recovery_fails(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        report = compare_runtable(
+        report = compare(
             runtable_artifact(recovery={"journal_lines_at_kill": 0}),
             runtable_artifact(),
         )
@@ -346,52 +351,43 @@ class TestCompareRuntable:
         assert "resume path not exercised" in report.violations[0]
 
     def test_quarantine_count_is_pinned(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        report = compare_runtable(
+        report = compare(
             runtable_artifact(chaos={"quarantined": 2}),
             runtable_artifact(),
         )
         assert not report.ok
 
     def test_conservation_break_fails(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
         broken = runtable_artifact()
         broken["chaos"]["channel_fault"] = dict(
             broken["chaos"]["channel_fault"], conserved=False
         )
-        report = compare_runtable(broken, runtable_artifact())
+        report = compare(broken, runtable_artifact())
         assert not report.ok
 
     def test_victim_flips_fail(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
         flipped = runtable_artifact()
         flipped["chaos"]["channel_fault"] = dict(
             flipped["chaos"]["channel_fault"], victim_flip_events=3
         )
-        assert not compare_runtable(flipped, runtable_artifact()).ok
+        assert not compare(flipped, runtable_artifact()).ok
 
     def test_overhead_ratio_tolerance(self):
-        from repro.eval.regression import compare_runtable
+        from repro.eval.regression import compare
 
-        bloated = runtable_artifact(checkpoint={"overhead_ratio": 2.0})
-        assert not compare_runtable(
-            bloated, runtable_artifact(), overhead_tolerance=0.25
-        ).ok
-        assert compare_runtable(
-            bloated, runtable_artifact(), overhead_tolerance=1.0
-        ).ok
+        bloated = runtable_artifact(checkpoint={"overhead_ratio": 2.2})
+        assert not compare(bloated, runtable_artifact()).ok
+        within = runtable_artifact(checkpoint={"overhead_ratio": 2.0})
+        assert compare(within, runtable_artifact()).ok
 
     def test_cli_dispatches_on_runtable_schema(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from check_regression import main as check_main
-        finally:
-            sys.path.pop(0)
+        check_main = _check_main()
         current = tmp_path / "BENCH_runtable.json"
         baseline = tmp_path / "BENCH_runtable_baseline.json"
         doc = runtable_artifact()
@@ -399,3 +395,119 @@ class TestCompareRuntable:
         baseline.write_text(json.dumps(doc))
         assert check_main([str(current), str(baseline)]) == 0
         assert "SIGKILL" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The CLI on the committed artifacts and on bad input
+# ----------------------------------------------------------------------
+#: Every (current, baseline) pair the workflows gate, as committed: seven
+#: bench artifacts against their baselines, and the two nightly harness
+#: baselines against themselves.
+COMMITTED_PAIRS = [
+    *(
+        (f"BENCH_{name}.json", f"BENCH_{name}_baseline.json")
+        for name in (
+            "attack_search", "defended_hammer", "serving", "serving_live",
+            "runtable", "bakeoff", "obs",
+        )
+    ),
+    *((f"BENCH_{name}_baseline.json",) * 2 for name in ("nightly", "nightly-attacks")),
+]
+
+
+def _artifact_path(name):
+    return os.path.join(ARTIFACTS, name)
+
+
+@pytest.mark.parametrize(
+    "current,baseline", COMMITTED_PAIRS, ids=[pair[0] for pair in COMMITTED_PAIRS]
+)
+def test_committed_pair_passes_the_cli(current, baseline, capsys):
+    main = _check_main()
+    assert main([_artifact_path(current), _artifact_path(baseline)]) == 0
+    checks = int(capsys.readouterr().out.split(" check(s)")[0])
+    assert checks > 0
+
+
+class TestCheckRegressionInputErrors:
+    """Bad input exits 2 with one ``error:`` line; 1 keeps meaning a
+    regression was found."""
+
+    def _run(self, capsys, current, baseline):
+        code = _check_main()([current, baseline])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def _assert_input_error(self, code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        result = self._run(
+            capsys, str(tmp_path / "absent.json"),
+            _artifact_path("BENCH_serving_baseline.json"),
+        )
+        self._assert_input_error(*result)
+
+    def test_malformed_json(self, tmp_path, capsys):
+        with open(_artifact_path("BENCH_serving.json"), encoding="utf-8") as handle:
+            truncated = handle.read()[:200]
+        current = tmp_path / "BENCH_serving.json"
+        current.write_text(truncated)
+        result = self._run(
+            capsys, str(current), _artifact_path("BENCH_serving_baseline.json")
+        )
+        self._assert_input_error(*result)
+
+    def test_unknown_schema(self, capsys):
+        # A committed artifact whose schema no gate knows.
+        victim_cache = _artifact_path("BENCH_victim_cache.json")
+        self._assert_input_error(*self._run(capsys, victim_cache, victim_cache))
+
+    @pytest.mark.parametrize("current,baseline", [
+        ("BENCH_runtable.json", "BENCH_nightly_baseline.json"),
+        ("BENCH_defended_hammer.json", "BENCH_attack_search_baseline.json"),
+    ])
+    def test_mismatched_schemas(self, current, baseline, capsys):
+        result = self._run(
+            capsys, _artifact_path(current), _artifact_path(baseline)
+        )
+        self._assert_input_error(*result)
+
+    def test_regression_still_exits_1(self, tmp_path, capsys):
+        baseline = _artifact_path("BENCH_runtable_baseline.json")
+        document = load_artifact(baseline)
+        document["checkpoint"]["results_identical"] = False
+        current = tmp_path / "BENCH_runtable.json"
+        current.write_text(json.dumps(document))
+        code, out, err = self._run(capsys, str(current), baseline)
+        assert code == 1 and err == "" and "REGRESSION" in out
+
+
+class TestMissingGatedValues:
+    """A missing or non-numeric gated value is a violation naming the
+    cell and the key, never a traceback."""
+
+    def test_missing_speedup(self):
+        baseline = load_artifact(_artifact_path("BENCH_attack_search_baseline.json"))
+        current = copy.deepcopy(baseline)
+        del current["families"]["bfa-locked"]["speedup"]
+        report = compare(current, baseline)
+        assert [v for v in report.violations if v.startswith("families.bfa-locked: speedup")]
+
+    def test_missing_scaling_ratio(self):
+        baseline = load_artifact(_artifact_path("BENCH_serving_baseline.json"))
+        current = copy.deepcopy(baseline)
+        del current["scaling"]["DRAM-Locker"]["ratio"]
+        report = compare(current, baseline)
+        assert [v for v in report.violations if v.startswith("scaling.DRAM-Locker: ")]
+        assert "missing or non-numeric" in report.violations[0]
+
+    def test_non_numeric_value(self):
+        baseline = load_artifact(_artifact_path("BENCH_obs_baseline.json"))
+        current = copy.deepcopy(baseline)
+        current["cells"]["none/bulk"]["disabled_pct"] = "0.01"
+        report = compare(current, baseline)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith("cells.none/bulk: disabled-path overhead")

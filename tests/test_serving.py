@@ -23,7 +23,7 @@ from repro.dram.config import DRAMConfig
 from repro.dram.device import DRAMDevice
 from repro.dram.vulnerability import VulnerabilityMap
 from repro.eval.harness import Scenario, run_matrix, serving_scenarios
-from repro.eval.regression import compare_serving
+from repro.eval.regression import compare
 from repro.locker.locker import DRAMLocker, LockerConfig
 from repro.serving import (
     ServingConfig,
@@ -452,34 +452,34 @@ def _serving_artifact() -> dict:
 
 class TestCompareServing:
     def test_identical_artifacts_pass(self):
-        report = compare_serving(_serving_artifact(), _serving_artifact())
+        report = compare(_serving_artifact(), _serving_artifact())
         assert report.ok
         assert report.checks
 
     def test_sla_drift_fails(self):
         current = _serving_artifact()
         current["cells"]["none-ch1"]["sla_fingerprint"]["blocked"] = 1
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert not report.ok
         assert any("fingerprint" in v for v in report.violations)
 
     def test_scaling_shrink_fails_within_tolerance_passes(self):
         current = _serving_artifact()
         current["scaling"]["DRAM-Locker"]["ratio"] = 3.0
-        assert compare_serving(current, _serving_artifact()).ok
+        assert compare(current, _serving_artifact()).ok
         current["scaling"]["DRAM-Locker"]["ratio"] = 2.0
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert not report.ok
 
     def test_protected_victim_flip_fails(self):
         current = _serving_artifact()
         current["cells"]["dram-locker-ch1"]["victim_flip_events"] = 1
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert not report.ok
         # Unprotected cells may flip freely.
         current = _serving_artifact()
         current["cells"]["none-ch1"]["victim_flip_events"] = 99
-        assert compare_serving(current, _serving_artifact()).ok
+        assert compare(current, _serving_artifact()).ok
 
     def test_pinned_flip_count_matches_baseline(self):
         # A known exposure event (nonzero flips in the committed
@@ -488,20 +488,20 @@ class TestCompareServing:
         baseline["cells"]["dram-locker-ch1"]["victim_flip_events"] = 1
         current = _serving_artifact()
         current["cells"]["dram-locker-ch1"]["victim_flip_events"] = 1
-        assert compare_serving(current, baseline).ok
+        assert compare(current, baseline).ok
         # ...but drifting away from the pinned count (even to zero) fails.
-        assert not compare_serving(_serving_artifact(), baseline).ok
+        assert not compare(_serving_artifact(), baseline).ok
 
     def test_engine_check_divergence_fails(self):
         current = _serving_artifact()
         current["cells"]["dram-locker-ch1"]["engine_check"] = {
             "identical": False, "bulk_wall_s": 0.1, "events_wall_s": 0.1,
         }
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert not report.ok
         assert any("events engine" in v for v in report.violations)
         current["cells"]["dram-locker-ch1"]["engine_check"]["identical"] = True
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert report.ok
         assert any("bit-identical" in c for c in report.checks)
 
@@ -510,23 +510,23 @@ class TestCompareServing:
         current["victim"].update(
             post_attack_accuracy=90.0, accuracy_unchanged=False
         )
-        assert not compare_serving(current, _serving_artifact()).ok
+        assert not compare(current, _serving_artifact()).ok
 
     def test_silently_dropped_victim_probe_fails(self):
         current = _serving_artifact()
         del current["victim"]
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert any("missing" in v for v in report.violations)
 
     def test_explicitly_skipped_victim_probe_passes(self):
         current = _serving_artifact()
         current["victim"] = {"skipped": True}
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert report.ok
         assert any("skipped" in c for c in report.checks)
 
     def test_missing_cell_fails(self):
         current = _serving_artifact()
         del current["cells"]["none-ch1"]
-        report = compare_serving(current, _serving_artifact())
+        report = compare(current, _serving_artifact())
         assert any("missing" in v for v in report.violations)
