@@ -20,24 +20,25 @@ pool startup with a cold pool vs the persistent pool, and the
 parent-side victim prewarm that ships arrays to workers by fork
 inheritance (or shared memory under spawn).
 
-Run with:  python benchmarks/bench_attack_search.py [--iterations N]
+Run with:  python benchmarks/bench_attack_search.py
 """
 
 import argparse
-import json
 import os
-import time
 
-from repro.eval import Scale, run_matrix
+from repro.eval import Scale, Scenario, run_matrix
 from repro.eval.harness import (
     attack_prewarm,
     attack_scenarios,
     shutdown_worker_pool,
 )
-from repro.eval.regression import ATTACK_SEARCH_SCHEMA, host_meta
-from repro.eval.experiments import run_attack_scenario
+from repro.eval.recorder import best_of, recording, refuse
+from repro.eval.regression import ATTACK_SEARCH_SCHEMA
 
 ARTIFACT = "BENCH_attack_search.json"
+
+#: Flip budget per attack cell.
+ITERATIONS = 10
 
 #: (family, protected, extra params) cells measured per engine.
 CELLS = (
@@ -56,25 +57,11 @@ TARGET_CELL = "tbfa-n-to-1-locked"
 TARGET_SPEEDUP = 2.0
 
 
-def _run_cell(scale, family, protected, extra, engine, iterations):
-    started = time.perf_counter()
-    payload = run_attack_scenario(
-        scale=scale,
-        attack=family,
-        arch="resnet20",
-        protected=protected,
-        iterations=iterations,
-        engine=engine,
-        **extra,
-    )
-    return time.perf_counter() - started, payload
-
-
-def _pool_overhead(scale, iterations):
+def _pool_overhead(scale):
     """Worker startup with a cold vs persistent (warm) pool, plus the
     parent-side victim prewarm cost, over a two-scenario matrix."""
     scenarios = attack_scenarios(
-        scale, iterations=iterations, attacks=["bfa"]
+        scale, iterations=ITERATIONS, attacks=["bfa"]
     )
     shutdown_worker_pool()
     cold = run_matrix(
@@ -95,63 +82,55 @@ def _pool_overhead(scale, iterations):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--iterations", type=int, default=10,
-                        help="flip budget per attack cell")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
     scale = Scale.quick()
-    started = time.perf_counter()
-    families = {}
-    for family, protected, extra in CELLS:
-        cell_name = f"{family}-{'locked' if protected else 'open'}"
-        full_s, full_payload = _run_cell(
-            scale, family, protected, extra, "full", args.iterations
-        )
-        suffix_s, suffix_payload = _run_cell(
-            scale, family, protected, extra, "suffix", args.iterations
-        )
-        identical = full_payload == suffix_payload
-        families[cell_name] = {
-            "full_s": round(full_s, 3),
-            "suffix_s": round(suffix_s, 3),
-            "speedup": round(full_s / suffix_s, 2),
-            "results_identical": identical,
-        }
-        print(
-            f"{cell_name:28s} full {full_s:6.2f}s  suffix {suffix_s:6.2f}s "
-            f"({full_s / suffix_s:4.2f}x)  identical={identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"{cell_name}: suffix engine diverged from the "
-                "full-forward reference; refusing to record"
-            )
-
-    pool = _pool_overhead(scale, args.iterations)
-    print(
-        f"pool startup: cold {pool['cold_pool_startup_s']:.3f}s, "
-        f"warm {pool['warm_pool_startup_s']:.3f}s; "
-        f"prewarm {pool['prewarm_s']:.2f}s"
-    )
-    if not pool["results_identical"]:
-        raise SystemExit("pool reuse changed matrix results; refusing to record")
-
-    document = {
-        "schema": ATTACK_SEARCH_SCHEMA,
-        "meta": host_meta(),
-        "arch": "resnet20",
-        "iterations": args.iterations,
-        "families": families,
-        "pool": pool,
-        "timing": {"total_s": round(time.perf_counter() - started, 3)},
-    }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+    with recording(ATTACK_SEARCH_SCHEMA, path) as document:
+        families = {}
+        for family, protected, extra in CELLS:
+            cell_name = f"{family}-{'locked' if protected else 'open'}"
+            walls, payloads = {}, {}
+            for engine in ("full", "suffix"):
+                params = dict(
+                    extra, attack=family, arch="resnet20", protected=protected,
+                    iterations=ITERATIONS, engine=engine,
+                )
+                walls[engine], result = best_of(Scenario(
+                    f"{cell_name}-{engine}", "attack", scale, seed=0,
+                    params=tuple(sorted(params.items())),
+                ))
+                payloads[engine] = result.payload
+            full_s, suffix_s = walls["full"], walls["suffix"]
+            identical = payloads["full"] == payloads["suffix"]
+            families[cell_name] = {
+                "full_s": round(full_s, 3),
+                "suffix_s": round(suffix_s, 3),
+                "speedup": round(full_s / suffix_s, 2),
+                "results_identical": identical,
+            }
+            print(
+                f"{cell_name:28s} full {full_s:6.2f}s  suffix {suffix_s:6.2f}s "
+                f"({full_s / suffix_s:4.2f}x)  identical={identical}"
+            )
+            if not identical:
+                refuse(
+                    f"{cell_name}: suffix engine diverged from the "
+                    "full-forward reference"
+                )
+
+        pool = _pool_overhead(scale)
+        print(
+            f"pool startup: cold {pool['cold_pool_startup_s']:.3f}s, "
+            f"warm {pool['warm_pool_startup_s']:.3f}s; "
+            f"prewarm {pool['prewarm_s']:.2f}s"
+        )
+        if not pool["results_identical"]:
+            refuse("pool reuse changed matrix results")
+        document.update(
+            arch="resnet20", iterations=ITERATIONS, families=families, pool=pool
+        )
 
     target = families.get(TARGET_CELL)
     if target is not None and target["speedup"] < TARGET_SPEEDUP:

@@ -18,98 +18,32 @@ monitor riding them, and the RADAR chaos cell -- and records:
 * **the chaos-cell contract** -- RADAR with deterministic weight-row
   corruption injected mid-run must detect every injection (latency
   recorded from its detection log) and recover the victim to within
-  ``--accuracy-budget`` (default 0.5) percentage points of the clean
-  baseline, else the artifact is refused;
+  0.5 percentage points of the clean baseline
+  (``BAKEOFF_ACCURACY_BUDGET_PCT``, the constant the gate bounds it
+  by), else the artifact is refused;
 * **prevention intact** -- DRAM-Locker serving cells must keep zero
   victim flip events, else the artifact is refused;
 * per-cell **SLA fingerprints** the nightly gate's ``BAKEOFF_SCHEMA``
   rows hold to exact equality.
 
-Run with:  python benchmarks/bench_bakeoff.py [--attacks bfa pta ...]
+Run with:  python benchmarks/bench_bakeoff.py
 """
 
 import argparse
-import copy
-import json
 import os
-import time
 
-from dataclasses import replace
-
-from repro.eval import Scale
-from repro.eval.harness import (
-    BAKEOFF_DEFENSES,
-    Scenario,
-    bakeoff_scenarios,
-    run_scenario,
+from repro.eval import Scale, Scenario, ScenarioResult
+from repro.eval.harness import BAKEOFF_DEFENSES, bakeoff_scenarios
+from repro.eval.recorder import (
+    best_of,
+    engine_check,
+    recording,
+    refuse,
+    sla_fingerprint,
 )
-from repro.eval.regression import BAKEOFF_SCHEMA, host_meta
+from repro.eval.regression import BAKEOFF_ACCURACY_BUDGET_PCT, BAKEOFF_SCHEMA
 
 ARTIFACT = "BENCH_bakeoff.json"
-
-#: Post-recovery accuracy must land within this many percentage points
-#: of the clean baseline in the chaos cell.
-ACCURACY_BUDGET_PCT = 0.5
-
-
-def _slug(defense: str) -> str:
-    return defense.lower().replace("/", "-")
-
-
-def _run(scenario: Scenario) -> tuple[float, dict]:
-    result = run_scenario(scenario)
-    if not result.ok:
-        raise SystemExit(f"{scenario.name} failed:\n{result.error}")
-    return result.wall_clock_s, result.payload
-
-
-def _engine_neutral(payload: dict) -> dict:
-    """The payload with the engine knob removed -- what the engine
-    equivalence contract (docs/ARCHITECTURE.md) requires to be
-    bit-identical across ``bulk``/``events``."""
-    neutral = copy.deepcopy(payload)
-    neutral.get("serving_phase", {}).get("config", {}).pop("engine", None)
-    return neutral
-
-
-def _engine_check(
-    scenario: Scenario, bulk_wall_s: float, bulk_payload: dict
-) -> dict:
-    """Re-run one serving cell on the events engine and require a
-    bit-identical payload (modulo the engine knob itself)."""
-    params = dict(scenario.params)
-    params["engine"] = "events"
-    events_wall_s, events_payload = _run(
-        replace(scenario, params=tuple(sorted(params.items())))
-    )
-    identical = (
-        _engine_neutral(bulk_payload) == _engine_neutral(events_payload)
-    )
-    if not identical:
-        raise SystemExit(
-            f"{scenario.name}: events-engine payload diverged from the "
-            "bulk reference; refusing to record"
-        )
-    return {
-        "identical": identical,
-        "bulk_wall_s": round(bulk_wall_s, 4),
-        "events_wall_s": round(events_wall_s, 4),
-    }
-
-
-def _sla_fingerprint(serving: dict) -> dict:
-    """The deterministic SLA stats the nightly gate pins exactly."""
-    aggregate = serving["sla"]["aggregate"]
-    fingerprint = {
-        "requests": aggregate["requests"],
-        "issued": aggregate["issued"],
-        "blocked": aggregate["blocked"],
-    }
-    tenant0 = serving["sla"].get("tenants", {}).get("tenant-0", {})
-    latency = tenant0.get("latency_ns")
-    if latency:
-        fingerprint["tenant0_latency_ns"] = latency
-    return fingerprint
 
 
 def _attack_cell(payload: dict) -> dict:
@@ -137,15 +71,14 @@ def _attack_cell(payload: dict) -> dict:
     return cell
 
 
-def _serving_cell(
-    scenario: Scenario, wall_s: float, payload: dict
-) -> dict:
+def _serving_cell(scenario: Scenario, result: ScenarioResult) -> dict:
+    payload = result.payload
     serving = payload["serving_phase"]
     health = serving["health"]
     return {
         "defense": payload["defense"],
         "channels": payload["channels"],
-        "wall_s": round(wall_s, 4),
+        "wall_s": round(result.wall_clock_s, 4),
         "requests_per_sim_sec": serving["sla"]["aggregate"][
             "requests_per_sim_sec"
         ],
@@ -158,14 +91,13 @@ def _serving_cell(
         "detections": health["detections"],
         "quarantines": health["quarantines"],
         "last_probe_accuracy": health["last_probe_accuracy"],
-        "sla_fingerprint": _sla_fingerprint(serving),
-        "engine_check": _engine_check(scenario, wall_s, payload),
+        "sla_fingerprint": sla_fingerprint(serving),
+        "engine_check": engine_check(scenario, result),
     }
 
 
-def _chaos_section(
-    scenario: Scenario, wall_s: float, payload: dict, budget_pct: float
-) -> dict:
+def _chaos_section(scenario: Scenario, result: ScenarioResult) -> dict:
+    payload = result.payload
     health = payload["serving_phase"]["health"]
     delta = None
     if health["post_recovery_accuracy"] is not None:
@@ -186,13 +118,13 @@ def _chaos_section(
         "clean_accuracy": health["clean_accuracy"],
         "post_recovery_accuracy": health["post_recovery_accuracy"],
         "accuracy_delta_pct": delta,
-        "accuracy_budget_pct": budget_pct,
+        "accuracy_budget_pct": BAKEOFF_ACCURACY_BUDGET_PCT,
         "recoveries": health["recoveries"],
         "golden_restores": health["golden_restores"],
         "quarantines": health["quarantines"],
         "radar": health.get("radar"),
         "conserved": health["conserved"],
-        "engine_check": _engine_check(scenario, wall_s, payload),
+        "engine_check": engine_check(scenario, result),
     }
     failures = []
     if not section["all_injections_detected"]:
@@ -203,18 +135,18 @@ def _chaos_section(
         )
     if any(value is None for value in section["detection_latency_ns"]):
         failures.append("detection latency missing for an injection")
-    if delta is None or delta > budget_pct:
+    if delta is None or delta > BAKEOFF_ACCURACY_BUDGET_PCT:
         failures.append(
             f"post-recovery accuracy {health['post_recovery_accuracy']} "
-            f"not within {budget_pct}pp of clean "
+            f"not within {BAKEOFF_ACCURACY_BUDGET_PCT}pp of clean "
             f"{health['clean_accuracy']}"
         )
     if not section["conserved"]:
         failures.append("offered != served + shed")
     if failures:
-        raise SystemExit(
+        refuse(
             "chaos cell violated the detect-and-recover contract "
-            f"({'; '.join(failures)}); refusing to record"
+            f"({'; '.join(failures)})"
         )
     return section
 
@@ -270,104 +202,72 @@ def _frontier(attack_cells: dict, serving_cells: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument(
-        "--attacks", nargs="+", default=None,
-        help="restrict the attack matrix (default: every registered attack)",
-    )
-    parser.add_argument(
-        "--accuracy-budget", type=float, default=ACCURACY_BUDGET_PCT,
-        help="chaos-cell post-recovery accuracy budget vs clean (pp)",
-    )
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
-    started = time.perf_counter()
-    scenarios = bakeoff_scenarios(Scale.quick())
-    if args.attacks is not None:
-        keep = set(args.attacks)
-        scenarios = [
-            scenario
-            for scenario in scenarios
-            if dict(scenario.params).get("attack", "none") in keep
-            or dict(scenario.params).get("serving")
-        ]
-
-    attack_cells = {}
-    serving_cells = {}
-    chaos = None
-    for scenario in scenarios:
-        wall_s, payload = _run(scenario)
-        params = dict(scenario.params)
-        if scenario.name.startswith("bakeoff-chaos"):
-            chaos = _chaos_section(
-                scenario, wall_s, payload, args.accuracy_budget
-            )
-            latencies = chaos["detection_latency_ns"]
-            print(
-                f"{scenario.name:42s} detected "
-                f"{chaos['injections_detected']}/"
-                f"{chaos['injected_corruptions']}  "
-                f"latency {latencies}  "
-                f"accuracy {chaos['post_recovery_accuracy']:.2f}% "
-                f"(clean {chaos['clean_accuracy']:.2f}%)"
-            )
-        elif params.get("serving"):
-            cell = _serving_cell(scenario, wall_s, payload)
-            serving_cells[scenario.name] = cell
-            print(
-                f"{scenario.name:42s} "
-                f"{cell['requests_per_sim_sec']:.3e} req/s (sim)  "
-                f"shed {cell['shed_ops']:4d}  "
-                f"victim flips {cell['victim_flip_events']}"
-            )
-            if (
-                cell["defense"] == "DRAM-Locker"
-                and cell["victim_flip_events"]
-            ):
-                raise SystemExit(
-                    f"{scenario.name}: DRAM-Locker cell recorded "
-                    f"{cell['victim_flip_events']} victim flip event(s); "
-                    "refusing to record"
-                )
-        else:
-            cell = _attack_cell(payload)
-            attack_cells[scenario.name] = cell
-            print(
-                f"{scenario.name:42s} "
-                f"{cell['clean_accuracy']:6.2f}% -> "
-                f"{cell['final_accuracy']:6.2f}%  "
-                f"flips {cell['executed_flips']}"
-            )
-
-    frontier = _frontier(attack_cells, serving_cells)
-    for defense, point in frontier.items():
-        worst = point.get("worst_defended_accuracy")
-        ratio = point.get("serving_throughput_ratio", {})
-        print(
-            f"frontier {defense:14s} worst accuracy "
-            f"{worst if worst is not None else '-':>6}  "
-            f"throughput ratio {ratio}"
-        )
-
-    document = {
-        "schema": BAKEOFF_SCHEMA,
-        "meta": host_meta(),
-        "defenses": list(BAKEOFF_DEFENSES),
-        "attacks": sorted(
-            {cell["attack"] for cell in attack_cells.values()}
-        ),
-        "attack_cells": attack_cells,
-        "serving_cells": serving_cells,
-        "chaos": chaos,
-        "frontier": frontier,
-        "timing": {"total_s": round(time.perf_counter() - started, 3)},
-    }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+    with recording(BAKEOFF_SCHEMA, path) as document:
+        attack_cells = {}
+        serving_cells = {}
+        chaos = None
+        for scenario in bakeoff_scenarios(Scale.quick()):
+            _, result = best_of(scenario)
+            if scenario.name.startswith("bakeoff-chaos"):
+                chaos = _chaos_section(scenario, result)
+                latencies = chaos["detection_latency_ns"]
+                print(
+                    f"{scenario.name:42s} detected "
+                    f"{chaos['injections_detected']}/"
+                    f"{chaos['injected_corruptions']}  "
+                    f"latency {latencies}  "
+                    f"accuracy {chaos['post_recovery_accuracy']:.2f}% "
+                    f"(clean {chaos['clean_accuracy']:.2f}%)"
+                )
+            elif dict(scenario.params).get("serving"):
+                cell = _serving_cell(scenario, result)
+                serving_cells[scenario.name] = cell
+                print(
+                    f"{scenario.name:42s} "
+                    f"{cell['requests_per_sim_sec']:.3e} req/s (sim)  "
+                    f"shed {cell['shed_ops']:4d}  "
+                    f"victim flips {cell['victim_flip_events']}"
+                )
+                if (
+                    cell["defense"] == "DRAM-Locker"
+                    and cell["victim_flip_events"]
+                ):
+                    refuse(
+                        f"{scenario.name}: DRAM-Locker cell recorded "
+                        f"{cell['victim_flip_events']} victim flip event(s)"
+                    )
+            else:
+                cell = _attack_cell(result.payload)
+                attack_cells[scenario.name] = cell
+                print(
+                    f"{scenario.name:42s} "
+                    f"{cell['clean_accuracy']:6.2f}% -> "
+                    f"{cell['final_accuracy']:6.2f}%  "
+                    f"flips {cell['executed_flips']}"
+                )
+
+        frontier = _frontier(attack_cells, serving_cells)
+        for defense, point in frontier.items():
+            worst = point.get("worst_defended_accuracy")
+            ratio = point.get("serving_throughput_ratio", {})
+            print(
+                f"frontier {defense:14s} worst accuracy "
+                f"{worst if worst is not None else '-':>6}  "
+                f"throughput ratio {ratio}"
+            )
+
+        document.update(
+            defenses=list(BAKEOFF_DEFENSES),
+            attacks=sorted({cell["attack"] for cell in attack_cells.values()}),
+            attack_cells=attack_cells,
+            serving_cells=serving_cells,
+            chaos=chaos,
+            frontier=frontier,
+        )
     return 0
 
 

@@ -17,19 +17,24 @@ otherwise.  The ``DRAM-Locker`` cell exercises the blocked-run summary
 path; ``None`` is the undefended baseline (and a cell where cross-tick
 fusion applies in full).
 
-Run with:  python benchmarks/bench_defended_hammer.py [--trh N]
+Run with:  python benchmarks/bench_defended_hammer.py
 """
 
 import argparse
-import json
 import os
-import time
 
 from repro.eval import Scale
-from repro.eval.harness import DEFENDED_HAMMER_DEFENSES, run_scenario, Scenario
-from repro.eval.regression import DEFENDED_HAMMER_SCHEMA, host_meta
+from repro.eval.harness import Scenario
+from repro.eval.recorder import best_of, recording, refuse
+from repro.eval.regression import DEFENDED_HAMMER_SCHEMA
 
 ARTIFACT = "BENCH_defended_hammer.json"
+
+#: RowHammer threshold of the benched device.
+TRH = 3000
+
+#: Timing repeats per cell (the best is recorded).
+REPEATS = 3
 
 #: Defense cells measured per engine, in recorded order.
 DEFENSES = (
@@ -55,33 +60,6 @@ def _cell_name(defense: str) -> str:
     return defense.lower().replace("/", "-")
 
 
-def _run_cell(defense: str, engine: str, trh: int, repeats: int):
-    """Best-of-``repeats`` wall-clock for one defended campaign; the
-    payload must be identical across repeats (campaigns are
-    deterministic), which doubles as a reproducibility check."""
-    best = float("inf")
-    payload = None
-    for _ in range(repeats):
-        scenario = Scenario(
-            f"defended-{_cell_name(defense)}-{engine}",
-            "defended_hammer",
-            Scale.quick(),
-            seed=0,
-            params=(("defense", defense), ("trh", trh), ("engine", engine)),
-        )
-        result = run_scenario(scenario)
-        if not result.ok:
-            raise SystemExit(f"{scenario.name} failed:\n{result.error}")
-        if payload is not None and result.payload != payload:
-            raise SystemExit(
-                f"{scenario.name}: nondeterministic payload across repeats; "
-                "refusing to record"
-            )
-        payload = result.payload
-        best = min(best, result.wall_clock_s)
-    return best, payload
-
-
 def _strip_engine(payload: dict) -> dict:
     """Engine-independent view of a payload for the equivalence check."""
     return {key: value for key, value in payload.items() if key != "engine"}
@@ -89,63 +67,49 @@ def _strip_engine(payload: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--trh", type=int, default=3000,
-                        help="RowHammer threshold of the benched device")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell (best is recorded)")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
-    unknown = [d for d in DEFENSES if d not in DEFENDED_HAMMER_DEFENSES]
-    if unknown:
-        raise SystemExit(f"unknown defense cells: {unknown}")
-
-    started = time.perf_counter()
-    defenses = {}
-    for defense in DEFENSES:
-        scalar_s, scalar_payload = _run_cell(
-            defense, "scalar", args.trh, args.repeats
-        )
-        bulk_s, bulk_payload = _run_cell(
-            defense, "bulk", args.trh, args.repeats
-        )
-        identical = _strip_engine(scalar_payload) == _strip_engine(
-            bulk_payload
-        )
-        cell = {
-            "scalar_s": round(scalar_s, 4),
-            "bulk_s": round(bulk_s, 4),
-            "speedup": round(scalar_s / bulk_s, 2),
-            "results_identical": identical,
-            "flipped": bulk_payload["protected_bits_flipped"],
-            "blocked": sum(o["blocked"] for o in bulk_payload["outcomes"]),
-        }
-        defenses[_cell_name(defense)] = cell
-        print(
-            f"{defense:12s} scalar {scalar_s * 1e3:8.1f}ms  "
-            f"bulk {bulk_s * 1e3:8.1f}ms  ({cell['speedup']:5.2f}x)  "
-            f"identical={identical}"
-        )
-        if not identical:
-            raise SystemExit(
-                f"{defense}: bulk engine diverged from the scalar "
-                "reference; refusing to record"
-            )
-
-    document = {
-        "schema": DEFENDED_HAMMER_SCHEMA,
-        "meta": host_meta(),
-        "trh": args.trh,
-        "repeats": args.repeats,
-        "defenses": defenses,
-        "timing": {"total_s": round(time.perf_counter() - started, 3)},
-    }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+    with recording(DEFENDED_HAMMER_SCHEMA, path) as document:
+        defenses = {}
+        for defense in DEFENSES:
+            walls, payloads = {}, {}
+            for engine in ("scalar", "bulk"):
+                walls[engine], result = best_of(Scenario(
+                    f"defended-{_cell_name(defense)}-{engine}",
+                    "defended_hammer",
+                    Scale.quick(),
+                    seed=0,
+                    params=(
+                        ("defense", defense), ("trh", TRH), ("engine", engine)
+                    ),
+                ), REPEATS)
+                payloads[engine] = _strip_engine(result.payload)
+            scalar_s, bulk_s = walls["scalar"], walls["bulk"]
+            identical = payloads["scalar"] == payloads["bulk"]
+            cell = {
+                "scalar_s": round(scalar_s, 4),
+                "bulk_s": round(bulk_s, 4),
+                "speedup": round(scalar_s / bulk_s, 2),
+                "results_identical": identical,
+                "flipped": payloads["bulk"]["protected_bits_flipped"],
+                "blocked": sum(
+                    o["blocked"] for o in payloads["bulk"]["outcomes"]
+                ),
+            }
+            defenses[_cell_name(defense)] = cell
+            print(
+                f"{defense:12s} scalar {scalar_s * 1e3:8.1f}ms  "
+                f"bulk {bulk_s * 1e3:8.1f}ms  ({cell['speedup']:5.2f}x)  "
+                f"identical={identical}"
+            )
+            if not identical:
+                refuse(
+                    f"{defense}: bulk engine diverged from the scalar "
+                    "reference"
+                )
+        document.update(trh=TRH, repeats=REPEATS, defenses=defenses)
 
     slow = {
         family: defenses[_cell_name(family)]["speedup"]

@@ -29,7 +29,6 @@ Run with:  python benchmarks/bench_runtable.py
 """
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -38,7 +37,8 @@ import tempfile
 import time
 
 from repro.eval.harness import SupervisorConfig, run_matrix
-from repro.eval.regression import RUNTABLE_BENCH_SCHEMA, host_meta
+from repro.eval.recorder import recording, refuse
+from repro.eval.regression import RUNTABLE_BENCH_SCHEMA, load_artifact
 from repro.eval.runtable import RUNTABLE_SETS, run_table
 
 ARTIFACT = "BENCH_runtable.json"
@@ -80,10 +80,7 @@ def _checkpoint_cell(work_dir: str) -> dict:
         "overhead_ratio": round(table_s / plain_s, 3),
     }
     if not cell["results_identical"]:
-        raise SystemExit(
-            "checkpointed run-table diverged from plain run_matrix; "
-            "refusing to record"
-        )
+        refuse("checkpointed run-table diverged from plain run_matrix")
     print(
         f"checkpoint: {cell['cells']} cells identical to plain sweep, "
         f"overhead {cell['overhead_ratio']:.2f}x "
@@ -112,8 +109,7 @@ def _recovery_cell(work_dir: str) -> dict:
         base_cmd + ["--tag", "ref"],
         env=env, check=True, capture_output=True,
     )
-    with open(os.path.join(work_dir, "RUNTABLE_ref.json")) as handle:
-        reference = json.load(handle)
+    reference = load_artifact(os.path.join(work_dir, "RUNTABLE_ref.json"))
 
     victim = subprocess.Popen(
         base_cmd + ["--tag", "victim"],
@@ -138,8 +134,7 @@ def _recovery_cell(work_dir: str) -> dict:
         base_cmd + ["--tag", "victim", "--resume"],
         env=env, check=True, capture_output=True,
     )
-    with open(os.path.join(work_dir, "RUNTABLE_victim.json")) as handle:
-        resumed = json.load(handle)
+    resumed = load_artifact(os.path.join(work_dir, "RUNTABLE_victim.json"))
 
     cell = {
         "journal_lines_at_kill": lines,
@@ -147,9 +142,9 @@ def _recovery_cell(work_dir: str) -> dict:
         "resume_identical": resumed["results"] == reference["results"],
     }
     if not cell["resume_identical"]:
-        raise SystemExit(
+        refuse(
             "SIGKILLed + resumed run-table diverged from the "
-            "uninterrupted run; refusing to record"
+            "uninterrupted run"
         )
     print(
         f"recovery: killed at {lines} journalled cell(s), resumed "
@@ -190,9 +185,9 @@ def _chaos_cell(work_dir: str) -> dict:
         "channel_fault": fault,
     }
     if not fault["conserved"] or fault["victim_flip_events"]:
-        raise SystemExit(
+        refuse(
             "channel-fault cell broke conservation or flipped victim "
-            "bits under DRAM-Locker; refusing to record"
+            "bits under DRAM-Locker"
         )
     print(
         f"chaos: {cell['quarantined']} quarantined, {recovered} "
@@ -210,25 +205,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="bench-runtable-") as work:
-        document = {
-            "schema": RUNTABLE_BENCH_SCHEMA,
-            "meta": host_meta(),
-            "workers": WORKERS,
-            "checkpoint": _checkpoint_cell(os.path.join(work, "ckpt")),
-            "recovery": _recovery_cell(os.path.join(work, "recovery")),
-            "chaos": _chaos_cell(os.path.join(work, "chaos")),
-        }
-    document["timing"] = {
-        "total_s": round(time.perf_counter() - started, 3)
-    }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+    with recording(RUNTABLE_BENCH_SCHEMA, path) as document, \
+            tempfile.TemporaryDirectory(prefix="bench-runtable-") as work:
+        document.update(
+            workers=WORKERS,
+            checkpoint=_checkpoint_cell(os.path.join(work, "ckpt")),
+            recovery=_recovery_cell(os.path.join(work, "recovery")),
+            chaos=_chaos_cell(os.path.join(work, "chaos")),
+        )
     return 0
 
 

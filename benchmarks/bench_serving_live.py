@@ -33,12 +33,12 @@ Run with:  python benchmarks/bench_serving_live.py
 """
 
 import argparse
-import json
 import os
 import time
 from dataclasses import replace
 
-from repro.eval.regression import SERVING_LIVE_SCHEMA, host_meta
+from repro.eval.recorder import recording, refuse, sla_fingerprint
+from repro.eval.regression import SERVING_LIVE_SCHEMA
 from repro.serving import (
     AdmissionConfig,
     ServingConfig,
@@ -65,21 +65,6 @@ HOLD_SLACK = 2.0
 LIVE_WALL_TARGET_S = 0.3
 
 
-def _sla_fingerprint(payload: dict) -> dict:
-    """The deterministic SLA stats the nightly gate pins exactly."""
-    aggregate = payload["sla"]["aggregate"]
-    fingerprint = {
-        "requests": aggregate["requests"],
-        "issued": aggregate["issued"],
-        "blocked": aggregate["blocked"],
-    }
-    tenant0 = payload["sla"]["tenants"].get("tenant-0", {})
-    latency = tenant0.get("latency_ns")
-    if latency:
-        fingerprint["tenant0_latency_ns"] = latency
-    return fingerprint
-
-
 def _replay_cells() -> dict:
     """Replay-equivalence checks under both execution engines."""
     cells = {}
@@ -94,10 +79,7 @@ def _replay_cells() -> dict:
         closed_wall_s = time.perf_counter() - started
         identical = replay_neutral(result.payload) == replay_neutral(closed)
         if not identical:
-            raise SystemExit(
-                f"{engine}: trace replay diverged from the closed loop; "
-                "refusing to record"
-            )
+            refuse(f"{engine}: trace replay diverged from the closed loop")
         name = f"{engine}-ch2"
         cells[name] = {
             "engine": engine,
@@ -140,7 +122,7 @@ def _overload_cells() -> dict:
             "offered": pacing["offered"],
             "shed": result.shed_total,
             "shed_rate": round(result.shed_total / pacing["offered"], 4),
-            "sla_fingerprint": _sla_fingerprint(result.payload),
+            "sla_fingerprint": sla_fingerprint(result.payload),
         }
         if admission is not None:
             cell["p99_target_ns"] = target_ns
@@ -151,15 +133,14 @@ def _overload_cells() -> dict:
     open_p99 = cells["open"]["sojourn_p99_ns"]
     for name, cell in cells.items():
         if name != "open" and cell["sojourn_p99_ns"] > open_p99:
-            raise SystemExit(
+            refuse(
                 f"overload {name}: admitted sojourn p99 exceeds the "
-                "unadmitted cell's; refusing to record"
+                "unadmitted cell's"
             )
         if not cell.get("holds_p99", True):
-            raise SystemExit(
+            refuse(
                 f"overload {name}: sojourn p99 {cell['sojourn_p99_ns']:.0f}ns "
-                f"outside {HOLD_SLACK}x target "
-                f"{cell['p99_target_ns']:.0f}ns; refusing to record"
+                f"outside {HOLD_SLACK}x target {cell['p99_target_ns']:.0f}ns"
             )
     return {
         "factor": OVERLOAD_FACTOR,
@@ -184,9 +165,9 @@ def _colocated_cell() -> dict:
         trace=hot_trace,
     )
     if locked.victim_flip_events:
-        raise SystemExit(
+        refuse(
             f"{locked.victim_flip_events} victim flip events under "
-            "DRAM-Locker with live admission; refusing to record"
+            "DRAM-Locker with live admission"
         )
     undefended = serve(replace(base_config, defense="None"), trace=hot_trace)
     locked_rps = locked.sla["aggregate"]["requests_per_sim_sec"]
@@ -201,7 +182,7 @@ def _colocated_cell() -> dict:
         "offered": locked.live["pacing"]["offered"],
         "blocked": locked.sla["aggregate"]["blocked"],
         "attack_absorption": round(locked_rps / undefended_rps, 3),
-        "sla_fingerprint": _sla_fingerprint(locked.payload),
+        "sla_fingerprint": sla_fingerprint(locked.payload),
     }
     print(f"co-located: victim flips {cell['victim_flip_events']} "
           f"(undefended {cell['undefended_flip_events']})  "
@@ -222,10 +203,7 @@ def _live_smoke() -> dict:
     pacing = result.live["pacing"]
     conserved = pacing["offered"] == pacing["served"] + pacing["shed"]
     if not conserved:
-        raise SystemExit(
-            "live pacing violated offered == served + shed; "
-            "refusing to record"
-        )
+        refuse("live pacing violated offered == served + shed")
     smoke = {
         "speedup": round(speedup, 3),
         "trace_duration_s": trace.duration_s,
@@ -248,26 +226,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    started = time.perf_counter()
-    document = {
-        "schema": SERVING_LIVE_SCHEMA,
-        "meta": host_meta(),
-        "overload_factor": OVERLOAD_FACTOR,
-        "p99_target_factor": P99_TARGET_FACTOR,
-        "replay": {"cells": _replay_cells()},
-        "overload": _overload_cells(),
-        "colocated": _colocated_cell(),
-        "live": _live_smoke(),
-    }
-    document["timing"] = {
-        "total_s": round(time.perf_counter() - started, 3)
-    }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+    with recording(SERVING_LIVE_SCHEMA, path) as document:
+        document.update(
+            overload_factor=OVERLOAD_FACTOR,
+            p99_target_factor=P99_TARGET_FACTOR,
+            replay={"cells": _replay_cells()},
+            overload=_overload_cells(),
+            colocated=_colocated_cell(),
+            live=_live_smoke(),
+        )
     return 0
 
 

@@ -14,20 +14,23 @@ the cache returns bit-identical weights, so caching is purely a
 wall-clock lever.  The recorded artifact asserts that and the >=2x
 speedup the ROADMAP asks for.
 
-Run with:  python benchmarks/bench_victim_cache.py [--iterations N]
+Run with:  python benchmarks/bench_victim_cache.py
 """
 
 import argparse
-import json
 import os
 import tempfile
 import time
 
 from repro.eval import Scale, run_matrix
 from repro.eval.harness import attack_scenarios
+from repro.eval.recorder import recording, refuse
 from repro.nn.cache import CACHE_ENV_VAR, MEMORY_ENV_VAR
 
 ARTIFACT = "BENCH_victim_cache.json"
+
+#: Flip budget per attack scenario.
+ITERATIONS = 4
 
 
 def _timed_matrix(scenarios, tag: str) -> tuple[float, dict]:
@@ -39,21 +42,17 @@ def _timed_matrix(scenarios, tag: str) -> tuple[float, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--iterations", type=int, default=4,
-                        help="flip budget per attack scenario")
-    parser.add_argument("--attacks", nargs="*", default=None,
-                        help="attack subset (default: every registered attack)")
     parser.add_argument("--out", default=os.path.join("benchmarks", "artifacts"))
     args = parser.parse_args(argv)
 
-    scenarios = attack_scenarios(
-        Scale.quick(), iterations=args.iterations, attacks=args.attacks
-    )
+    scenarios = attack_scenarios(Scale.quick(), iterations=ITERATIONS)
     print(f"{len(scenarios)} attack scenarios, one shared victim")
 
+    path = os.path.join(args.out, ARTIFACT)
     previous = os.environ.get(CACHE_ENV_VAR)
     previous_memory = os.environ.get(MEMORY_ENV_VAR)
-    with tempfile.TemporaryDirectory(prefix="victim-cache-bench-") as cache_dir:
+    with recording("dram-locker-victim-cache-bench/1", path) as document, \
+            tempfile.TemporaryDirectory(prefix="victim-cache-bench-") as cache_dir:
         try:
             # This benchmark times the *disk* cache; the in-process
             # memory layer would serve every repeat lookup from RAM
@@ -79,29 +78,21 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     os.environ[variable] = old
 
-    identical = off_results == cold_results == warm_results
-    print(f"results bit-identical across cache modes: {identical}")
-    if not identical:
-        raise SystemExit("cache changed scenario results; refusing to record")
-
-    document = {
-        "schema": "dram-locker-victim-cache-bench/1",
-        "scenarios": [scenario.name for scenario in scenarios],
-        "attack_iterations": args.iterations,
-        "workers": 1,
-        "cache_off_s": round(off_s, 3),
-        "cache_cold_s": round(cold_s, 3),
-        "cache_warm_s": round(warm_s, 3),
-        "speedup_cold": round(off_s / cold_s, 2),
-        "speedup_warm": round(off_s / warm_s, 2),
-        "results_identical": identical,
-    }
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"artifact: {path}")
+        identical = off_results == cold_results == warm_results
+        print(f"results bit-identical across cache modes: {identical}")
+        if not identical:
+            refuse("cache changed scenario results")
+        document.update(
+            scenarios=[scenario.name for scenario in scenarios],
+            attack_iterations=ITERATIONS,
+            workers=1,
+            cache_off_s=round(off_s, 3),
+            cache_cold_s=round(cold_s, 3),
+            cache_warm_s=round(warm_s, 3),
+            speedup_cold=round(off_s / cold_s, 2),
+            speedup_warm=round(off_s / warm_s, 2),
+            results_identical=identical,
+        )
 
     if document["speedup_cold"] < 2.0:
         raise SystemExit(

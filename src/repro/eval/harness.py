@@ -29,7 +29,6 @@ import argparse
 import atexit
 import cProfile
 import itertools
-import json
 import logging
 import multiprocessing
 import os
@@ -57,6 +56,7 @@ from ..dram.vulnerability import VulnerabilityMap
 from ..locker.locker import DRAMLocker, LockerConfig
 from ..seeds import derive_seed
 from .faults import FaultPlan
+from .regression import HARNESS_SCHEMA, host_meta, save_artifact
 from .experiments import (
     Scale,
     run_attack_scenario,
@@ -246,8 +246,6 @@ class MatrixResult:
         """The ``BENCH_*.json`` document.  Everything except ``timing``
         and ``meta`` is a deterministic function of (scenarios,
         base_seed)."""
-        from .regression import HARNESS_SCHEMA, host_meta
-
         return {
             "schema": HARNESS_SCHEMA,
             "meta": host_meta(),
@@ -283,23 +281,8 @@ class MatrixResult:
         }
 
     def write_artifact(self, directory: str) -> str:
-        if not _TAG_RE.fullmatch(self.tag):
-            raise ValueError(
-                f"artifact tag {self.tag!r} must match {_TAG_RE.pattern}"
-                " (it becomes part of the BENCH_<tag>.json filename)"
-            )
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"BENCH_{self.tag}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                self.as_artifact(),
-                handle,
-                indent=2,
-                sort_keys=True,
-                default=_json_fallback,
-            )
-            handle.write("\n")
-        self.artifact_path = path
+        path = os.path.join(directory, f"BENCH_{artifact_tag(self.tag)}.json")
+        self.artifact_path = save_artifact(path, self.as_artifact())
         return path
 
 
@@ -321,11 +304,16 @@ def scenario_result_payload(result: ScenarioResult) -> dict | None:
 _TAG_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-def _json_fallback(value: Any) -> Any:
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()  # numpy scalars
-    return str(value)
+def artifact_tag(tag: str) -> str:
+    """``tag``, checked path-safe: it becomes part of artifact (and
+    run-table journal) filenames, so ``../x`` would write outside the
+    output directory.  Also the CLIs' ``--tag`` argument type."""
+    if not _TAG_RE.fullmatch(tag):
+        raise ValueError(
+            f"artifact tag {tag!r} must match {_TAG_RE.pattern}"
+            " (it becomes part of the artifact filename)"
+        )
+    return tag
 
 
 # ----------------------------------------------------------------------
@@ -1810,7 +1798,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--tag", default=None)
+    parser.add_argument("--tag", type=artifact_tag, default=None)
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument(
         "--full", action="store_true", help="near-paper scale"

@@ -36,10 +36,11 @@ from functools import partial
 from typing import Any, Callable
 
 __all__ = [
-    "ATTACK_SEARCH_SCHEMA", "BAKEOFF_SCHEMA", "DEFENDED_HAMMER_SCHEMA", "HARNESS_SCHEMA",
-    "OBS_SCHEMA", "RULES", "RUNTABLE_BENCH_SCHEMA", "SERVING_LIVE_SCHEMA", "SERVING_SCHEMA",
-    "ArtifactError", "RegressionReport", "Rule", "compare", "host_meta", "load_artifact",
-    "protected_accuracies", "bound", "equal", "flag", "present",
+    "ATTACK_SEARCH_SCHEMA", "BAKEOFF_ACCURACY_BUDGET_PCT", "BAKEOFF_SCHEMA",
+    "DEFENDED_HAMMER_SCHEMA", "HARNESS_SCHEMA", "OBS_SCHEMA", "RULES", "RUNTABLE_BENCH_SCHEMA",
+    "SERVING_LIVE_SCHEMA", "SERVING_SCHEMA", "ArtifactError", "RegressionReport", "Rule",
+    "compare", "host_meta", "load_artifact", "protected_accuracies", "save_artifact",
+    "bound", "equal", "flag", "present",
 ]
 
 HARNESS_SCHEMA = "dram-locker-bench/1"  # python -m repro.eval matrix
@@ -50,6 +51,10 @@ SERVING_LIVE_SCHEMA = "dram-locker-serving-live-bench/1"  # bench_serving_live.p
 RUNTABLE_BENCH_SCHEMA = "dram-locker-runtable-bench/1"  # bench_runtable.py
 BAKEOFF_SCHEMA = "dram-locker-bakeoff-bench/1"  # bench_bakeoff.py
 OBS_SCHEMA = "dram-locker-obs-bench/1"  # bench_obs.py
+
+#: The bake-off chaos cell's post-recovery accuracy must land within this many
+#: percentage points of clean; the recorder refuses and the gate fails beyond it.
+BAKEOFF_ACCURACY_BUDGET_PCT = 0.5
 
 
 class ArtifactError(ValueError):
@@ -65,6 +70,33 @@ def load_artifact(path: str) -> dict:
     if not isinstance(document, dict):
         raise ArtifactError(f"artifact {path} is not a JSON object")
     return document
+
+
+def _json_fallback(value: Any) -> Any:
+    item = getattr(value, "item", None)
+    if callable(item):
+        return item()  # numpy scalars
+    return str(value)
+
+
+def save_artifact(path: str, document: dict) -> str:
+    """Publish ``document`` as JSON at ``path`` and return ``path``.
+
+    Atomic: the document is dumped to ``<path>.tmp`` and renamed over
+    ``path``, so the file is either the old complete one or the new
+    complete one, never a torn write.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True, default=_json_fallback)
+            handle.write("\n")
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):  # the dump failed half-way
+            os.unlink(tmp_path)
+    return path
 
 
 def host_meta() -> dict:
@@ -242,7 +274,7 @@ RULES: dict[str, tuple[Rule, ...]] = {
         present("chaos?"),
         flag("chaos?", "all_injections_detected",
              "{injections_detected}/{injected_corruptions} injected corruption(s) detected"),
-        bound("chaos?", "accuracy_delta_pct", op="<=", ref="chaos.accuracy_budget_pct", unit="pp"),
+        bound("chaos?", "accuracy_delta_pct", op="<=", ref=BAKEOFF_ACCURACY_BUDGET_PCT, unit="pp"),
         flag("chaos?", _latencies, "detection latency recorded for every injection",
              "detection latency missing for at least one injection"),
         bound("chaos?", lambda chaos: max(_latencies(chaos) or [None]), "worst detection latency",

@@ -47,10 +47,11 @@ from .harness import (
     Scenario,
     ScenarioResult,
     SupervisorConfig,
-    _json_fallback,
+    artifact_tag,
     run_matrix,
     scenario_result_payload,
 )
+from .regression import _json_fallback, host_meta, save_artifact
 
 __all__ = [
     "RUNTABLE_SCHEMA",
@@ -261,7 +262,7 @@ def run_table(
     shard_index, shard_count = shard
     cells = spec.cells()
     my_cells = _shard_of(cells, shard_index, shard_count)
-    tag = tag or spec.name
+    tag = artifact_tag(tag or spec.name)
     suffix = f".shard{shard_index}of{shard_count}" if shard_count > 1 else ""
     os.makedirs(out_dir, exist_ok=True)
     journal = CheckpointJournal(
@@ -330,8 +331,6 @@ def run_table(
         for payload in results.values()
         if isinstance(payload, dict) and "error" in payload
     )
-    from .regression import host_meta
-
     artifact = {
         "schema": RUNTABLE_SCHEMA,
         "meta": host_meta(),
@@ -370,20 +369,9 @@ def run_table(
             ),
         },
     }
-    artifact_path = os.path.join(out_dir, f"RUNTABLE_{tag}{suffix}.json")
-    # Atomic publish: the artifact is either the old complete file or
-    # the new complete file, never a torn write.
-    tmp_path = artifact_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            artifact,
-            handle,
-            indent=2,
-            sort_keys=True,
-            default=_json_fallback,
-        )
-        handle.write("\n")
-    os.replace(tmp_path, artifact_path)
+    artifact_path = save_artifact(
+        os.path.join(out_dir, f"RUNTABLE_{tag}{suffix}.json"), artifact
+    )
     return RunTableResult(
         spec=spec,
         artifact_path=artifact_path,
@@ -644,7 +632,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--tag", default=None, help="artifact/journal tag")
+    parser.add_argument(
+        "--tag", type=artifact_tag, default=None, help="artifact/journal tag"
+    )
     parser.add_argument(
         "--timeout", type=float, default=None,
         help="override the table's per-cell timeout (seconds)",

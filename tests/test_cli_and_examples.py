@@ -25,3 +25,25 @@ class TestCLI:
         assert main(["all"]) == 0
         out = capsys.readouterr().out
         assert "fig7b" in out and "DRAM-Locker" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["matrix", "--set", "cheap"], ["runtable", "--set", "demo"]]
+    )
+    def test_path_escaping_tag_rejected_before_any_cell(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        """``--tag`` names the artifact (and journal) file, so ``../x``
+        would write outside ``--out``: exit 2 before anything runs."""
+        from repro.eval import harness, runtable
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_matrix", no_cells)
+        monkeypatch.setattr(runtable, "run_matrix", no_cells)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--tag", "../x"])
+        assert exc.value.code == 2
+        assert "--tag" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -353,6 +353,14 @@ class TestBakeoffGate:
         current["chaos"]["accuracy_delta_pct"] = 0.8
         assert not compare(current, _bakeoff_artifact()).ok
 
+    def test_self_declared_budget_does_not_loosen_the_gate(self):
+        """The budget is a gate constant; the artifact's own
+        ``accuracy_budget_pct`` is only a record."""
+        current = _bakeoff_artifact()
+        current["chaos"]["accuracy_delta_pct"] = 0.8
+        current["chaos"]["accuracy_budget_pct"] = 10.0
+        assert not compare(current, _bakeoff_artifact()).ok
+
     def test_missing_detection_latency_fails(self):
         current = _bakeoff_artifact()
         current["chaos"]["detection_latency_ns"] = [None]

@@ -270,6 +270,12 @@ class TestRunTable:
         assert resumed.executed == 0 and resumed.resumed == 2
         assert resumed.artifact["results"] == first.artifact["results"]
 
+    def test_path_escaping_tag_refused_before_the_journal(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="artifact tag"):
+            run_table(TINY, str(out), workers=2, tag="../x")
+        assert list(tmp_path.iterdir()) == []
+
     def test_serial_workers_with_faults_refused(self, tmp_path):
         spec, faults = RUNTABLE_SETS["chaos"]()
         with pytest.raises(ValueError, match="workers >= 2"):
