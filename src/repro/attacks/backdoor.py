@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.data import Dataset
-from ..nn.functional import cross_entropy_grad
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
 from .hammer import HammerDriver
@@ -191,11 +190,10 @@ class RowhammerBackdoor:
         for _ in range(config.trigger_steps):
             x = self.attack_x.copy()
             x[:, :, -p:, -p:] = patch
-            logits = model.forward(x)
-            dx = model.net.backward(cross_entropy_grad(logits, target))
+            dx = model.input_grad(x, target)
             patch -= config.trigger_lr * dx[:, :, -p:, -p:].mean(axis=0)
             np.clip(patch, -config.patch_clip, config.patch_clip, out=patch)
-        model.zero_grad()  # the trigger pass must not pollute weight grads
+        model.zero_grad()  # trigger training leaves the weight grads zeroed
         return patch
 
     # ------------------------------------------------------------------

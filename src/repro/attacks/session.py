@@ -34,8 +34,17 @@ to the per-candidate full forwards it replaces:
   hooks invalidate precisely.  Probes (accuracy / ASR / objective)
   and the per-iteration objective gradients are memoized on the
   combined digest, so unchanged weight states -- every blocked
-  campaign under DRAM-Locker -- never re-run ``predict`` or the
+  campaign under DRAM-Locker -- never re-run a probe or the
   gradient pass.
+* **Prefix-cached probes** -- accuracy and ASR probes read their
+  argmax logits from one prefix cache per ``PREDICT_BATCH``-row chunk
+  of the probe set, split exactly as ``Model.predict`` splits it, so
+  after a committed flip in layer ``k`` a probe recomputes only
+  layers ``>= k`` and still equals ``model.accuracy`` bit for bit.
+
+Nothing but the gradient pass runs a backward, so prefix fills,
+candidate scoring and probes all run under
+:func:`~repro.nn.layers.no_backward`.
 
 ``engine="full"`` routes every operation through the legacy
 flip -> full forward -> revert path with no caching or memoization; it
@@ -55,8 +64,8 @@ import numpy as np
 
 from ..engines import SEARCH_ENGINES as _SEARCH_ENGINES, resolve_engine
 from ..nn.functional import cross_entropy, cross_entropy_grad
-from ..nn.layers import Sequential
-from ..nn.model import PrefixActivationCache, iter_layers
+from ..nn.layers import Sequential, no_backward
+from ..nn.model import PREDICT_BATCH, PrefixActivationCache, iter_layers
 from ..nn.quant import QuantizedModel
 
 __all__ = ["SEARCH_ENGINES", "SearchTerm", "SessionStats", "SearchSession"]
@@ -113,6 +122,9 @@ class SearchSession:
                 self._top_index[name] = int(head)
         self.engine = engine if supported else "full"
         self._caches: dict[int, PrefixActivationCache] = {}
+        # Probe-set chunk views, made once: caches are keyed by id, so
+        # fresh views on every probe would never hit one.
+        self._chunks: dict[int, list[np.ndarray]] = {}
         self._probes: dict[tuple, Any] = {}
         self._grads_memo: tuple | None = None
         self._batch_ok: dict[tuple, bool] = {}
@@ -315,24 +327,25 @@ class SearchSession:
         for position, (name, _, _) in enumerate(candidates):
             groups.setdefault(self._top_index[name], []).append(position)
         net = self.model.net
-        for term_pos, term in enumerate(terms):
-            cache = self._cache_for(term.x)
-            for k, positions in sorted(groups.items()):
-                layer_input = cache.input_of(k)
-                outs = []
-                for position in positions:
-                    name, index, bit = candidates[position]
-                    self._apply_flip(name, index, bit)
-                    try:
-                        outs.append(net.layers[k].forward(layer_input))
-                    finally:
-                        self._apply_flip(name, index, bit)  # revert
-                for position, logits in zip(
-                    positions, self._suffix_logits(k + 1, outs)
-                ):
-                    per_term[term_pos][position] = cross_entropy(
-                        logits, term.labels
-                    )
+        with no_backward():
+            for term_pos, term in enumerate(terms):
+                cache = self._cache_for(term.x)
+                for k, positions in sorted(groups.items()):
+                    layer_input = cache.input_of(k)
+                    outs = []
+                    for position in positions:
+                        name, index, bit = candidates[position]
+                        self._apply_flip(name, index, bit)
+                        try:
+                            outs.append(net.layers[k].forward(layer_input))
+                        finally:
+                            self._apply_flip(name, index, bit)  # revert
+                    for position, logits in zip(
+                        positions, self._suffix_logits(k + 1, outs)
+                    ):
+                        per_term[term_pos][position] = cross_entropy(
+                            logits, term.labels
+                        )
         return [
             sum(
                 term.weight * per_term[term_pos][position]
@@ -359,11 +372,28 @@ class SearchSession:
             self.stats.probe_hits += 1
         return self._probes[memo_key]
 
+    def _predict(self, x: np.ndarray) -> np.ndarray:
+        """``model.predict(x)``, bit for bit; the suffix engine reads
+        each chunk's logits from its prefix cache."""
+        if self.engine != "suffix":
+            return self.model.predict(x)
+        chunks = self._chunks.get(id(x))
+        if chunks is None:
+            chunks = self._chunks[id(x)] = [
+                x[start : start + PREDICT_BATCH]
+                for start in range(0, x.shape[0], PREDICT_BATCH)
+            ]
+        return np.concatenate(
+            [np.argmax(self._cache_for(chunk).logits(), axis=1) for chunk in chunks]
+        )
+
     def accuracy(
         self, x: np.ndarray, labels: np.ndarray, key: str = "accuracy"
     ) -> float:
         """Digest-memoized ``model.accuracy`` over a fixed probe set."""
-        return self.probe(key, lambda: self.model.accuracy(x, labels))
+        return self.probe(
+            key, lambda: float(100.0 * (self._predict(x) == labels).mean())
+        )
 
     def success_rate(
         self, x: np.ndarray, target: int, key: str = "asr"
@@ -371,6 +401,5 @@ class SearchSession:
         """Digest-memoized attack success rate: percent of ``x``
         classified as ``target``."""
         return self.probe(
-            key,
-            lambda: float(100.0 * (self.model.predict(x) == target).mean()),
+            key, lambda: float(100.0 * (self._predict(x) == target).mean())
         )

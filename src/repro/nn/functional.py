@@ -9,6 +9,7 @@ __all__ = [
     "im2col",
     "col2im",
     "contract",
+    "stack_certified",
     "softmax",
     "cross_entropy",
     "cross_entropy_grad",
@@ -42,11 +43,15 @@ _CONTRACT_FAST = {
 _CONTRACT_OK: dict[tuple, bool] = {}
 
 
+def _contract_key(spec: str, a: np.ndarray, b_shape: tuple, b_dtype) -> tuple:
+    return (spec, a.shape, tuple(b_shape), a.dtype.char, np.dtype(b_dtype).char)
+
+
 def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum(spec, a, b, optimize=True)``, bit-for-bit, through the
     fast single-GEMM path whenever that path has been verified identical
     for this shape class."""
-    key = (spec, a.shape, b.shape, a.dtype.char, b.dtype.char)
+    key = _contract_key(spec, a, b.shape, b.dtype)
     ok = _CONTRACT_OK.get(key)
     if ok:
         return _CONTRACT_FAST[spec](a, b)
@@ -56,6 +61,20 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.array_equal(ein, _CONTRACT_FAST[spec](a, b))
         )
     return ein
+
+
+def stack_certified(a: np.ndarray, b_shape: tuple, b_dtype) -> bool:
+    """Whether ``contract("of,nfp->nop", a, b)`` is already certified for
+    a ``b`` of this shape and dtype.
+
+    The conv-forward fast path is a stacked ``np.matmul``: one GEMM per
+    sample, each independent of the others.  So once the full stack is
+    certified, ``np.matmul(a, rows)`` of any row chunk of ``b`` gives
+    exactly those rows of ``contract``'s result -- which lets a caller
+    build ``b`` a few rows at a time without ever holding all of it.
+    An uncertified class must go through :func:`contract` (which is
+    also what certifies it)."""
+    return bool(_CONTRACT_OK.get(_contract_key("of,nfp->nop", a, b_shape, b_dtype)))
 
 
 def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -80,21 +99,53 @@ def _col_indices(c: int, h: int, w: int, k: int, stride: int, pad: int):
     return ch, i, j, oh, ow
 
 
-def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, OH*OW) patch matrix."""
+#: Output widths up to this fill columns with one gather through a
+#: cached index; wider maps copy a strided window view.  The copy's
+#: inner loop runs along the output width, so it only pays off once
+#: rows are long.
+_GATHER_MAX_OW = 8
+_GATHER_INDEX: dict[tuple, np.ndarray] = {}
+
+
+def im2col(
+    x: np.ndarray, k: int, stride: int, pad: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(N, C, H, W) -> (N, C*k*k, OH*OW) patch matrix, written into
+    ``out`` (a C-contiguous array of that shape) when one is given."""
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, k, stride, pad)
-    padded = np.pad(
-        x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+        h, w = h + 2 * pad, w + 2 * pad
+    if out is None:
+        out = np.empty((n, c * k * k, oh * ow), dtype=x.dtype)
+    if ow <= _GATHER_MAX_OW and x.flags.c_contiguous:
+        key = (c, h, w, k, stride)
+        index = _GATHER_INDEX.get(key)
+        if index is None:
+            ch, i, j, _, _ = _col_indices(c, h, w, k, stride, 0)
+            index = _GATHER_INDEX[key] = ((ch * h + i) * w + j).reshape(-1)
+        # "wrap" (every index is in range) lets take write into out
+        # directly instead of through a buffer.
+        np.take(
+            x.reshape(n, c * h * w),
+            index,
+            axis=1,
+            out=out.reshape(n, index.size),
+            mode="wrap",
+        )
+        return out
+    # One strided view + one copy beats fancy indexing on wide maps;
+    # the (C, k, k) leading order matches the _col_indices layout.
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        (n, c, k, k, oh, ow),
+        (sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
     )
-    # One strided view + one copy beats fancy indexing by a wide margin
-    # on the conv-heavy forward pass; the (C, k, k) leading order matches
-    # the _col_indices layout exactly.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k, k), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(n, c * k * k, oh * ow)
+    out.reshape(n, c, k, k, oh, ow)[...] = windows
+    return out
 
 
 def col2im(

@@ -6,17 +6,36 @@ Conv2d and Linear support an optional ``weight_transform`` -- a
 quantizer applied to the weight in the forward pass whose gradient is
 passed straight through (STE), which is how the binary-weight hardening
 baselines of Table II train.
+
+How much a forward caches is one module-level *backward-state mode*:
+
+* ``"all"`` (the default) -- everything any backward reads: training,
+  weight-gradient passes, direct layer use;
+* ``"input"`` -- only what dX needs (ReLU and MaxPool masks, BatchNorm
+  ``inv_std``, shapes).  The backward returns the same dX and leaves
+  every ``Parameter.grad`` untouched;
+* ``"none"`` -- nothing, and any older cache is dropped, so a stray
+  backward raises instead of reading stale state.
+
+Outputs are bitwise the same in every mode.  Only entry points set the
+mode (:func:`backward_state`, :func:`no_backward`); layers just read
+it.  nn code runs on one thread, so a module-level mode is enough.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .functional import col2im, contract, conv_output_hw, im2col
+from .functional import col2im, contract, conv_output_hw, im2col, stack_certified
 
 __all__ = [
+    "BACKWARD_STATES",
+    "CONV_CHUNK",
+    "backward_state",
+    "no_backward",
     "Parameter",
     "Layer",
     "Conv2d",
@@ -30,6 +49,64 @@ __all__ = [
 ]
 
 WeightTransform = Callable[[np.ndarray], np.ndarray]
+
+BACKWARD_STATES = ("all", "input", "none")
+#: Samples per im2col fill of a conv forward: the rows of its reused
+#: workspace.
+CONV_CHUNK = 16
+
+_state = "all"
+
+
+@contextmanager
+def backward_state(state: str) -> Iterator[None]:
+    """Run the enclosed forwards keeping ``state`` for their backward
+    (one of :data:`BACKWARD_STATES`); the previous mode comes back on
+    exit."""
+    global _state
+    if state not in BACKWARD_STATES:
+        raise ValueError(
+            f"unknown backward state {state!r}; expected one of {BACKWARD_STATES}"
+        )
+    previous = _state
+    _state = state
+    try:
+        yield
+    finally:
+        _state = previous
+
+
+def no_backward():
+    """``backward_state("none")``: for forwards no backward follows."""
+    return backward_state("none")
+
+
+def _kept(cache):
+    if cache is None:
+        raise RuntimeError(
+            "backward needs the state of a forward that kept it "
+            "(none ran, or it ran under no_backward())"
+        )
+    return cache
+
+
+#: (padded input, columns) buffers of CONV_CHUNK samples per conv shape
+#: class.  Only the interior of a padded buffer is ever written, so its
+#: zero border stands in for np.pad.
+_WORKSPACES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _workspace(x: np.ndarray, k: int, stride: int, pad: int):
+    _, c, h, w = x.shape
+    key = (c, h, w, k, stride, pad, x.dtype.char)
+    buffers = _WORKSPACES.get(key)
+    if buffers is None:
+        oh, ow = conv_output_hw(h, w, k, stride, pad)
+        buffers = _WORKSPACES[key] = (
+            np.zeros((CONV_CHUNK, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype),
+            np.empty((CONV_CHUNK, c * k * k, oh * ow), dtype=x.dtype),
+        )
+    return buffers
 
 
 class Parameter:
@@ -48,7 +125,8 @@ class Parameter:
 
 
 class Layer:
-    """Base layer: ``forward`` caches, ``backward`` returns dX."""
+    """Base layer: ``forward`` caches what the backward-state mode asks
+    for, ``backward`` returns dX."""
 
     def params(self) -> dict[str, Parameter]:
         """Trainable parameters, keyed by local name."""
@@ -110,27 +188,67 @@ class Conv2d(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
-        oh, ow = conv_output_hw(h, w, self.kernel, self.stride, self.pad)
-        cols = im2col(x, self.kernel, self.stride, self.pad)
+        k, stride, pad = self.kernel, self.stride, self.pad
+        oh, ow = conv_output_hw(h, w, k, stride, pad)
         weight = self.effective_weight()
-        out = contract("of,nfp->nop", weight, cols)
+        state = _state
+        cols_shape = (n, c * k * k, oh * ow)
+        if state != "all" and stack_certified(weight, cols_shape, x.dtype):
+            # No backward reads the columns: never hold all of them,
+            # one GEMM per chunk.
+            cols = None
+            out = np.empty(
+                (n, self.out_channels, oh * ow), np.result_type(weight, x)
+            )
+            for rows, chunk in self._fill_columns(x):
+                np.matmul(weight, chunk, out=out[rows])
+        else:
+            cols = np.empty(cols_shape, x.dtype)
+            for _ in self._fill_columns(x, out=cols):
+                pass  # each chunk lands in its rows of cols
+            out = contract("of,nfp->nop", weight, cols)
         if self.bias is not None:
             out += self.bias.value[None, :, None]
-        self._cache = (x.shape, cols)
+        # dW reads the columns; dX needs only the input shape.
+        self._cache = None if state == "none" else (
+            x.shape, cols if state == "all" else None
+        )
         return np.ascontiguousarray(
             out.reshape(n, self.out_channels, oh, ow)
         )
 
+    def _fill_columns(
+        self, x: np.ndarray, out: np.ndarray | None = None
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, columns of those rows)`` chunk by chunk, each
+        filled through the shape class's reused workspace -- whose zero
+        border replaces np.pad -- into ``out[rows]`` when ``out`` is
+        given, else into the workspace's own column buffer."""
+        n, _, h, w = x.shape
+        k, stride, pad = self.kernel, self.stride, self.pad
+        padded, work = _workspace(x, k, stride, pad)
+        interior = padded[:, :, pad : pad + h, pad : pad + w]
+        for start in range(0, n, CONV_CHUNK):
+            stop = min(start + CONV_CHUNK, n)
+            m = stop - start
+            if pad:
+                interior[:m] = x[start:stop]
+                src = padded[:m]
+            else:
+                src = x[start:stop]
+            cols = work[:m] if out is None else out[start:stop]
+            yield slice(start, stop), im2col(src, k, stride, 0, out=cols)
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._cache is not None, "forward before backward"
-        x_shape, cols = self._cache
+        x_shape, cols = _kept(self._cache)
         n = dy.shape[0]
         dy_flat = np.ascontiguousarray(dy.reshape(n, self.out_channels, -1))
-        # STE: the gradient w.r.t. the raw weight equals the gradient
-        # w.r.t. the transformed weight.
-        self.weight.grad += contract("nop,nfp->of", dy_flat, cols)
-        if self.bias is not None:
-            self.bias.grad += dy_flat.sum(axis=(0, 2))
+        if cols is not None:
+            # STE: the gradient w.r.t. the raw weight equals the gradient
+            # w.r.t. the transformed weight.
+            self.weight.grad += contract("nop,nfp->of", dy_flat, cols)
+            if self.bias is not None:
+                self.bias.grad += dy_flat.sum(axis=(0, 2))
         weight = self.effective_weight()
         dcols = contract("of,nop->nfp", weight, dy_flat)
         return col2im(dcols, x_shape, self.kernel, self.stride, self.pad)
@@ -152,7 +270,7 @@ class Linear(Layer):
         )
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         self.weight_transform: WeightTransform | None = None
-        self._x: np.ndarray | None = None
+        self._cache: tuple | None = None
 
     def params(self) -> dict[str, Parameter]:
         named = {"weight": self.weight}
@@ -166,17 +284,21 @@ class Linear(Layer):
         return self.weight.value
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        # dW reads the input; dX needs only the weight.
+        self._cache = None if _state == "none" else (
+            x if _state == "all" else None,
+        )
         out = x @ self.effective_weight().T
         if self.bias is not None:
             out += self.bias.value
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._x is not None
-        self.weight.grad += dy.T @ self._x
-        if self.bias is not None:
-            self.bias.grad += dy.sum(axis=0)
+        (x,) = _kept(self._cache)
+        if x is not None:
+            self.weight.grad += dy.T @ x
+            if self.bias is not None:
+                self.bias.grad += dy.sum(axis=0)
         return dy @ self.effective_weight()
 
 
@@ -207,19 +329,32 @@ class BatchNorm2d(Layer):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape, training)
-        return self.gamma.value[None, :, None, None] * x_hat + self.beta.value[
-            None, :, None, None
-        ]
+        state = _state
+        gamma = self.gamma.value[None, :, None, None]
+        beta = self.beta.value[None, :, None, None]
+        # dgamma reads x_hat, and so does a training-mode dX.
+        if state == "all" or (state == "input" and training):
+            x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            out = gamma * x_hat + beta
+        else:
+            # The same four operations in the same order, in one array.
+            x_hat = None
+            out = x - mean[None, :, None, None]
+            out *= inv_std[None, :, None, None]
+            out *= gamma
+            out += beta
+        self._cache = None if state == "none" else (
+            x_hat, inv_std, x.shape, training, state == "all"
+        )
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        x_hat, inv_std, shape, was_training = self._cache
+        x_hat, inv_std, shape, was_training, param_grads = _kept(self._cache)
         n, _, h, w = shape
         m = n * h * w
-        self.gamma.grad += (dy * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += dy.sum(axis=(0, 2, 3))
+        if param_grads:
+            self.gamma.grad += (dy * x_hat).sum(axis=(0, 2, 3))
+            self.beta.grad += dy.sum(axis=(0, 2, 3))
         gamma = self.gamma.value[None, :, None, None]
         dxhat = dy * gamma
         if not was_training:
@@ -238,12 +373,12 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = None if _state == "none" else mask
+        return x * mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
-        return dy * self._mask
+        return dy * _kept(self._mask)
 
 
 class MaxPool2d(Layer):
@@ -260,13 +395,13 @@ class MaxPool2d(Layer):
             raise ValueError(f"spatial size {h}x{w} not divisible by {k}")
         blocks = x.reshape(n, c, h // k, k, w // k, k)
         out = blocks.max(axis=(3, 5))
-        mask = blocks == out[:, :, :, None, :, None]
-        self._cache = (mask, x.shape)
+        self._cache = None if _state == "none" else (
+            blocks == out[:, :, :, None, :, None], x.shape
+        )
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        mask, shape = self._cache
+        mask, shape = _kept(self._cache)
         n, c, h, w = shape
         k = self.k
         spread = mask * dy[:, :, :, None, :, None]
@@ -280,15 +415,15 @@ class GlobalAvgPool(Layer):
         self._shape: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = None if _state == "none" else x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._shape is not None
-        n, c, h, w = self._shape
-        return np.broadcast_to(
-            dy[:, :, None, None] / (h * w), self._shape
-        ).astype(np.float32)
+        shape = _kept(self._shape)
+        n, c, h, w = shape
+        return np.broadcast_to(dy[:, :, None, None] / (h * w), shape).astype(
+            np.float32
+        )
 
 
 class Flatten(Layer):
@@ -296,12 +431,11 @@ class Flatten(Layer):
         self._shape: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = None if _state == "none" else x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._shape is not None
-        return dy.reshape(self._shape)
+        return dy.reshape(_kept(self._shape))
 
 
 class Sequential(Layer):

@@ -7,15 +7,29 @@ from typing import Iterator
 import numpy as np
 
 from .functional import cross_entropy, cross_entropy_grad, softmax
-from .layers import Conv2d, Layer, Linear, Parameter, Sequential
+from .layers import (
+    Conv2d,
+    Layer,
+    Linear,
+    Parameter,
+    Sequential,
+    backward_state,
+    no_backward,
+)
 
 __all__ = [
+    "PREDICT_BATCH",
     "Model",
     "PrefixActivationCache",
     "iter_layers",
     "named_parameters",
     "weight_layers",
 ]
+
+
+#: Rows per forward in :meth:`Model.predict`.  A probe that must match
+#: its predictions bit for bit splits its input the same way.
+PREDICT_BATCH = 256
 
 
 def iter_layers(layer: Layer, prefix: str = "") -> Iterator[tuple[str, Layer]]:
@@ -64,7 +78,9 @@ class PrefixActivationCache:
 
     Because eval-mode forwards are deterministic, every cached entry is
     bitwise what a fresh full forward would produce, so losses computed
-    from :meth:`logits` are bit-identical to ``model.loss``.
+    from :meth:`logits` are bit-identical to ``model.loss``.  No
+    backward follows a prefix fill, so it runs under
+    :func:`~repro.nn.layers.no_backward`.
     """
 
     def __init__(self, net: Sequential, x: np.ndarray):
@@ -86,10 +102,11 @@ class PrefixActivationCache:
             raise IndexError(f"layer index {k} out of range 0..{self.depth}")
         j = max(i for i in self._acts if i <= k)
         a = self._acts[j]
-        while j < k:
-            a = self.net.layers[j].forward(a)
-            j += 1
-            self._acts[j] = a
+        with no_backward():
+            while j < k:
+                a = self.net.layers[j].forward(a)
+                j += 1
+                self._acts[j] = a
         return a
 
     def logits(self) -> np.ndarray:
@@ -141,7 +158,8 @@ class Model:
         return self.net.forward(x, training=training)
 
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        return cross_entropy(self.forward(x), labels)
+        with no_backward():
+            return cross_entropy(self.forward(x), labels)
 
     def loss_and_grad(
         self, x: np.ndarray, labels: np.ndarray, training: bool = False
@@ -152,22 +170,35 @@ class Model:
         self.net.backward(cross_entropy_grad(logits, labels))
         return loss
 
+    def input_grad(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """d(mean CE)/dx through an eval forward with the weights
+        frozen: the same dX as ``forward`` + ``net.backward``, without
+        computing a weight gradient -- every ``Parameter.grad`` is left
+        untouched."""
+        with backward_state("input"):
+            logits = self.forward(x)
+            return self.net.backward(cross_entropy_grad(logits, labels))
+
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray, batch: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch: int = PREDICT_BATCH) -> np.ndarray:
         outputs = []
-        for start in range(0, x.shape[0], batch):
-            logits = self.forward(x[start : start + batch])
-            outputs.append(np.argmax(logits, axis=1))
+        with no_backward():
+            for start in range(0, x.shape[0], batch):
+                logits = self.forward(x[start : start + batch])
+                outputs.append(np.argmax(logits, axis=1))
         return np.concatenate(outputs)
 
-    def accuracy(self, x: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+    def accuracy(
+        self, x: np.ndarray, labels: np.ndarray, batch: int = PREDICT_BATCH
+    ) -> float:
         """Top-1 accuracy in percent."""
         return float(100.0 * (self.predict(x, batch) == labels).mean())
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x))
+        with no_backward():
+            return softmax(self.forward(x))
 
     # ------------------------------------------------------------------
     # Activation caching (the attack-search fast path)

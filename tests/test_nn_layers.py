@@ -60,6 +60,31 @@ class TestFunctional:
         rhs = float((x * col2im(c, x.shape, 3, 1, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "hw,k,stride,pad",
+        [(6, 3, 1, 1), (12, 3, 1, 1), (12, 3, 2, 1), (9, 1, 2, 0), (5, 3, 1, 0)],
+    )
+    def test_im2col_matches_patch_extraction(self, hw, k, stride, pad):
+        """Both fills -- the gather for outputs up to 8 wide, the window
+        copy for wider ones and for non-contiguous inputs -- equal
+        patch-by-patch extraction, with and without ``out``."""
+        x = RNG.normal(size=(2, 3, hw, hw)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        o = (hw + 2 * pad - k) // stride + 1
+        patches = np.stack([
+            np.stack([
+                padded[n, :, i * stride : i * stride + k,
+                       j * stride : j * stride + k].reshape(-1)
+                for i in range(o) for j in range(o)
+            ], axis=1)
+            for n in range(2)
+        ])
+        assert np.array_equal(im2col(x, k, stride, pad), patches)
+        out = np.empty_like(patches)
+        assert im2col(x, k, stride, pad, out=out) is out
+        assert np.array_equal(out, patches)
+        assert np.array_equal(im2col(np.asfortranarray(x), k, stride, pad), patches)
+
     def test_softmax_rows_sum_to_one(self):
         logits = RNG.normal(size=(5, 7)).astype(np.float32)
         assert softmax(logits).sum(axis=1) == pytest.approx(np.ones(5))

@@ -333,29 +333,53 @@ class TestSessionInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Digest memoization: blocked iterations never re-run predict
+# Digest memoization: blocked iterations never re-run a probe
 # ----------------------------------------------------------------------
 class TestProbeMemoization:
-    def test_probes_memoize_until_weights_change(self, qmodel, dataset, monkeypatch):
+    def test_probes_memoize_until_weights_change(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="suffix")
-        calls = {"predict": 0}
-        real_predict = type(qmodel.model).predict
-
-        def counting_predict(self, x, batch=256):
-            calls["predict"] += 1
-            return real_predict(self, x, batch)
-
-        monkeypatch.setattr(type(qmodel.model), "predict", counting_predict)
         first = session.accuracy(dataset.test_x, dataset.test_y)
         again = session.accuracy(dataset.test_x, dataset.test_y)
         assert first == again
-        assert calls["predict"] == 1
+        assert session.stats.probe_misses == 1
         assert session.stats.probe_hits == 1
         # A committed flip changes the digest: the probe recomputes.
         name = next(iter(qmodel.tensors))
         qmodel.flip_bit(name, 0, 7)
-        session.accuracy(dataset.test_x, dataset.test_y)
-        assert calls["predict"] == 2
+        after = session.accuracy(dataset.test_x, dataset.test_y)
+        assert session.stats.probe_misses == 2
+        assert after == qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+
+    def test_probe_after_flip_forwards_only_downstream_layers(
+        self, qmodel, dataset
+    ):
+        # Six copies of the test set: two predict-sized chunks.
+        x = np.concatenate([dataset.test_x] * 6)
+        labels = np.concatenate([dataset.test_y] * 6)
+        session = SearchSession(qmodel, engine="suffix")
+        session.accuracy(x, labels)
+        session.success_rate(x, 0)
+        name = [n for n in qmodel.tensors if n.startswith("5.")][0]
+        qmodel.flip_bit(name, 0, 7)
+        layers = qmodel.model.net.layers
+        ran = []
+        for index, layer in enumerate(layers):
+            def counting(a, training=False, index=index, forward=layer.forward):
+                ran.append(index)
+                return forward(a, training)
+
+            layer.forward = counting
+        try:
+            accuracy = session.accuracy(x, labels)
+            asr = session.success_rate(x, 0)
+        finally:
+            for layer in layers:
+                del layer.forward
+        # Layers 5.. once per chunk, for the accuracy probe only: the
+        # ASR probe reads the same chunks' cached logits.
+        assert sorted(ran) == sorted(list(range(5, len(layers))) * 2)
+        assert accuracy == qmodel.model.accuracy(x, labels)
+        assert asr == float(100.0 * (qmodel.model.predict(x) == 0).mean())
 
     def test_gradients_memoize_on_digest(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="suffix")
