@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..nn import memo
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
@@ -178,23 +179,42 @@ class RowhammerBackdoor:
         return out
 
     def _train_trigger(self, rng: np.random.Generator) -> np.ndarray:
-        """Optimise the patch pixels against the frozen network."""
+        """Optimise the patch pixels against the frozen network.
+
+        The initial patch is drawn from ``rng`` on every call; inside a
+        memo scope the descent runs once per (model, attack batch,
+        initial patch, trigger config), and the patch is read-only."""
         config = self.config
         p = config.patch_size
         channels = self.attack_x.shape[1]
-        patch = rng.normal(0.0, 0.5, size=(channels, p, p)).astype(np.float32)
+        initial = rng.normal(0.0, 0.5, size=(channels, p, p)).astype(np.float32)
         model = self.qmodel.model
-        target = np.full(
-            self.attack_y.shape, config.target_class, dtype=self.attack_y.dtype
+
+        def descend() -> np.ndarray:
+            patch = initial.copy()
+            target = np.full(
+                self.attack_y.shape, config.target_class, dtype=self.attack_y.dtype
+            )
+            for _ in range(config.trigger_steps):
+                x = self.attack_x.copy()
+                x[:, :, -p:, -p:] = patch
+                dx = model.input_grad(x, target)
+                patch -= config.trigger_lr * dx[:, :, -p:, -p:].mean(axis=0)
+                np.clip(patch, -config.patch_clip, config.patch_clip, out=patch)
+            patch.setflags(write=False)
+            return patch
+
+        trigger = memo.memoized(
+            "trigger",
+            lambda: memo.content_key(
+                model, self.attack_x, self.attack_y, initial,
+                config.target_class, p, config.trigger_steps,
+                config.trigger_lr, config.patch_clip,
+            ),
+            descend,
         )
-        for _ in range(config.trigger_steps):
-            x = self.attack_x.copy()
-            x[:, :, -p:, -p:] = patch
-            dx = model.input_grad(x, target)
-            patch -= config.trigger_lr * dx[:, :, -p:, -p:].mean(axis=0)
-            np.clip(patch, -config.patch_clip, config.patch_clip, out=patch)
         model.zero_grad()  # trigger training leaves the weight grads zeroed
-        return patch
+        return trigger
 
     # ------------------------------------------------------------------
     # Attack loop (delegates to the constrained targeted search)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn import memo
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
@@ -64,8 +65,12 @@ class RandomAttack:
                 self.dataset.test_x[:128], self.dataset.test_y[:128]
             )
             limit = self.eval_limit
-            accuracy = self.qmodel.model.accuracy(
-                self.dataset.test_x[:limit], self.dataset.test_y[:limit]
+            # A blocked flip leaves the weights as they were, so a locked
+            # run's probe is a memo hit inside a matrix.
+            accuracy = memo.accuracy(
+                self.qmodel.model,
+                self.dataset.test_x[:limit],
+                self.dataset.test_y[:limit],
             )
             result.flips.append(
                 FlipRecord(

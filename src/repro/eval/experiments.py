@@ -27,6 +27,7 @@ from ..dram.vulnerability import VulnerabilityMap
 from ..isa import Opcode, assemble, disassemble, swap_program
 from ..locker.locker import DRAMLocker, LockerConfig
 from ..locker.planner import LockMode, plan_protection
+from ..nn import memo
 from ..nn.cache import VictimCache, cached_train
 from ..nn.data import Dataset, synthetic_cifar10, synthetic_cifar100
 from ..nn.hardening import TABLE2_BUILDERS, HardenedModel
@@ -229,7 +230,7 @@ def _background_tenant_hook(system: ProtectedSystem, seed: int = 1) -> GuardRowT
 def run_fig1a(scale: Scale | None = None) -> dict:
     scale = scale or Scale.quick()
     dataset, qmodel = build_victim("vgg11", scale)
-    clean = qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
     config = BFAConfig(attack_batch=scale.attack_batch, seed=scale.seed)
 
     snapshot = qmodel.snapshot()
@@ -344,7 +345,7 @@ def run_fig7b() -> dict:
 def run_fig8(arch: str = "resnet20", scale: Scale | None = None) -> dict:
     scale = scale or Scale.quick()
     dataset, qmodel = build_victim(arch, scale)
-    clean = qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
     snapshot = qmodel.snapshot()
     config = BFAConfig(attack_batch=scale.attack_batch, seed=scale.seed)
     curves: dict[str, list[float]] = {}
@@ -389,7 +390,7 @@ def run_fig8(arch: str = "resnet20", scale: Scale | None = None) -> dict:
 def run_pta(scale: Scale | None = None) -> dict:
     scale = scale or Scale.quick()
     dataset, qmodel = build_victim("resnet20", scale)
-    clean = qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
     snapshot = qmodel.snapshot()
     curves: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
@@ -458,7 +459,7 @@ def run_attack_scenario(
         if not in_dram:
             raise ValueError("defense= requires in_dram=True")
     dataset, qmodel = build_victim(arch, scale)
-    clean = qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
     snapshot = qmodel.snapshot()
     ctx = AttackContext(
         qmodel,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..arch.cacti import lock_table_estimate
 from ..attacks.bfa import BFAConfig, ProgressiveBitSearch
 from ..circuits.montecarlo import MonteCarlo
+from ..nn import memo
 from ..serving.workload import VictimTenant
 from .experiments import (
     Scale,
@@ -78,7 +79,7 @@ class CrossLayerPipeline:
 
         # 3+4. System and application levels.
         dataset, qmodel = build_victim(self.arch, self.scale)
-        clean = qmodel.model.accuracy(dataset.test_x, dataset.test_y)
+        clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
         system = build_system(qmodel, protected=self.protected)
         # The victim's own request mix -- weight-streaming inference
         # plus the guard-row traffic that opens unlock windows -- is

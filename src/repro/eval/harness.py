@@ -54,6 +54,7 @@ from ..dram.config import DRAMConfig
 from ..dram.device import DRAMDevice
 from ..dram.vulnerability import VulnerabilityMap
 from ..locker.locker import DRAMLocker, LockerConfig
+from ..nn import memo
 from ..seeds import derive_seed
 from .faults import FaultPlan
 from .regression import HARNESS_SCHEMA, host_meta, save_artifact
@@ -888,6 +889,7 @@ def run_scenario(
 def _scenario_worker(
     job: tuple[int, int, Scenario, int, str | None, int, Any],
 ) -> ScenarioResult:
+    global _WORKER_MEMO_EPOCH
     epoch, index, scenario, base_seed, profile_dir, attempt, faults = job
     if _WORKER_EVENTS is not None:
         try:
@@ -897,6 +899,11 @@ def _scenario_worker(
             _WORKER_EVENTS.put((epoch, index, attempt, os.getpid()))
         except Exception:  # noqa: BLE001 - announcements are best-effort
             pass
+    if epoch != _WORKER_MEMO_EPOCH:
+        # The cells of one matrix share clean-state work; a job from a
+        # new matrix starts a fresh memo.
+        memo.restart()
+        _WORKER_MEMO_EPOCH = epoch
     if faults is not None:
         faults.inject(scenario.name, attempt)
     return run_scenario(scenario, base_seed, profile_dir=profile_dir)
@@ -929,19 +936,13 @@ _ATTACHED_SEGMENTS: list = []  # worker-side references, kept alive
 #: Worker-side start-event queue, set by the pool initializer.
 _WORKER_EVENTS: Any = None
 
+#: Worker side: the dispatch epoch whose memo is active.
+_WORKER_MEMO_EPOCH: int | None = None
+
 #: Monotonic dispatch-epoch counter: one epoch per supervised matrix,
 #: so stale start events from an earlier matrix on the same persistent
 #: pool can never be attributed to a new in-flight cell.
 _DISPATCH_EPOCHS = itertools.count()
-
-
-def _shareable_generation() -> int:
-    """Changes when the parent gains shareable state a live pool's
-    workers have not seen (entries are content-addressed and never
-    removed, so the count is a faithful change detector)."""
-    from ..nn.cache import memory_cache_entries
-
-    return len(memory_cache_entries())
 
 
 def _export_shared_victims() -> tuple[list, list]:
@@ -1067,9 +1068,13 @@ atexit.register(shutdown_worker_pool, True)
 def _acquire_pool(processes: int) -> tuple[Any, float]:
     """The persistent pool, (re)created as needed; returns
     ``(pool, startup_seconds)`` with startup 0.0 on reuse."""
+    from ..nn.cache import memory_cache_generation
+
     methods = multiprocessing.get_all_start_methods()
     method = "fork" if "fork" in methods else "spawn"
-    generation = _shareable_generation()
+    # Changes whenever the victim layer does, so a live pool whose
+    # workers hold an older layer is recreated.
+    generation = memory_cache_generation()
     state = _POOL_STATE
     if (
         state["pool"] is not None
@@ -1445,6 +1450,13 @@ def run_matrix(
     or, under spawn, via ``multiprocessing.shared_memory`` -- and its
     cost is recorded as ``timing.prewarm_s``.
 
+    The cells of one matrix share their victim's clean-state work
+    (dataset, clean accuracy, backdoor trigger) through a
+    :mod:`repro.nn.memo` scope that ends with the matrix: the parent's
+    around the serial loop, or each worker's, restarted by the first
+    job of a new dispatch epoch.  :func:`run_scenario` alone shares
+    nothing.
+
     ``profile_dir`` forwards to :func:`run_scenario`: every scenario
     dumps ``profile_<name>.pstats`` cProfile stats there.
 
@@ -1483,11 +1495,14 @@ def run_matrix(
     if workers <= 1 or len(scenarios) <= 1:
         workers = 1
         results = []
-        for scenario in scenarios:
-            result = run_scenario(scenario, base_seed, profile_dir=profile_dir)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
+        with memo.scope():
+            for scenario in scenarios:
+                result = run_scenario(
+                    scenario, base_seed, profile_dir=profile_dir
+                )
+                if on_result is not None:
+                    on_result(result)
+                results.append(result)
     else:
         try:
             results, pool_startup_s, attempt_log = _supervised_map(

@@ -56,6 +56,7 @@ __all__ = [
     "victim_spec",
     "cached_train",
     "memory_cache_entries",
+    "memory_cache_generation",
     "memory_cache_put",
     "memory_cache_clear",
 ]
@@ -179,21 +180,35 @@ def victim_spec(
 # preserved exactly.
 _MEMORY: dict[tuple[str, str], dict[str, np.ndarray]] = {}
 
+#: Bumped by every insertion into the layer and every clear: a clear
+#: followed by a put leaves the entry count as it was, but not this.
+_GENERATION = 0
+
 
 def memory_cache_entries() -> dict[tuple[str, str], dict[str, np.ndarray]]:
     """A snapshot of the in-process layer (for shipping to workers)."""
     return dict(_MEMORY)
 
 
+def memory_cache_generation() -> int:
+    """Changes whenever the layer does (a live worker pool holding an
+    older layer must be recreated)."""
+    return _GENERATION
+
+
 def memory_cache_put(
     directory: str, key: str, state: dict[str, np.ndarray]
 ) -> None:
     """Register one entry (workers attaching shared memory use this)."""
+    global _GENERATION
     _MEMORY[(directory, key)] = state
+    _GENERATION += 1
 
 
 def memory_cache_clear() -> None:
+    global _GENERATION
     _MEMORY.clear()
+    _GENERATION += 1
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +288,7 @@ class VictimCache:
             return None
         self.stats.hits += 1
         if self.memory:
-            _MEMORY[(self.directory, key)] = state
+            memory_cache_put(self.directory, key, state)
         return state
 
     def store(self, key: str, state: dict[str, np.ndarray]) -> str | None:
@@ -296,9 +311,11 @@ class VictimCache:
             raise
         self.stats.stores += 1
         if self.memory:
-            _MEMORY[(self.directory, key)] = {
-                name: np.array(value, copy=True) for name, value in state.items()
-            }
+            memory_cache_put(
+                self.directory,
+                key,
+                {name: np.array(value, copy=True) for name, value in state.items()},
+            )
         return path
 
 

@@ -7,14 +7,20 @@ small random translation.  The datasets are hard enough that an
 untrained network scores chance, and easy enough that the scaled
 ResNet-20/VGG-11 reach high accuracy in a few NumPy epochs -- which is
 all the bit-flip experiments require (see DESIGN.md, Substitutions).
+
+A dataset's arrays are read-only: inside a matrix's memo scope
+(:mod:`repro.nn.memo`) every cell shares one synthesis, so a write
+through one cell's dataset would leak into the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
+
+from . import memo
 
 __all__ = ["Dataset", "synthetic_cifar10", "synthetic_cifar100", "make_dataset"]
 
@@ -75,7 +81,33 @@ def make_dataset(
     max_shift: int = 2,
     seed: int = 0,
 ) -> Dataset:
-    """Build one synthetic dataset (deterministic in ``seed``)."""
+    """Build one synthetic dataset (deterministic in ``seed``).
+
+    The arrays are read-only.  Inside a memo scope one argument set is
+    synthesised once; every call still returns its own
+    :class:`Dataset`, so reassigning a field of one leaks nowhere.
+    """
+    args = (
+        name, num_classes, hw, train_per_class, test_per_class, noise,
+        max_shift, seed,
+    )
+    return replace(
+        memo.memoized(
+            "dataset", lambda: memo.content_key(*args), lambda: _synthesize(*args)
+        )
+    )
+
+
+def _synthesize(
+    name: str,
+    num_classes: int,
+    hw: int,
+    train_per_class: int,
+    test_per_class: int,
+    noise: float,
+    max_shift: int,
+    seed: int,
+) -> Dataset:
     rng = np.random.default_rng(seed)
     prototypes = np.stack(
         [_smooth_field(rng, 3, hw, coarse=max(2, hw // 4)) for _ in range(num_classes)]
@@ -99,6 +131,8 @@ def make_dataset(
 
     train_x, train_y = sample_split(train_per_class)
     test_x, test_y = sample_split(test_per_class)
+    for array in (train_x, train_y, test_x, test_y):
+        array.setflags(write=False)
     return Dataset(
         name=name,
         train_x=train_x,

@@ -1,0 +1,176 @@
+"""Matrix-scoped memo of a victim's clean-state work.
+
+Every cell of an attack matrix attacks the same victim, and each one
+used to redo that victim's clean-state work: synthesise its dataset,
+measure its clean accuracy, train the backdoor trigger.  Inside a
+:func:`scope` that work runs once per content key and later calls
+return the stored value.  A hit returns exactly what a fresh
+computation returns, so every payload is unchanged.
+
+The rules (``tests/test_memo.py`` pins them):
+
+* **Keys hash content, never object ids**, and cover every input the
+  work reads.  :func:`content_key` walks arrays, scalars, sequences and
+  the public attributes of models and layers -- class, hyperparameters,
+  every :class:`~repro.nn.layers.Parameter` and BatchNorm buffer with
+  its name, shape and dtype.  Underscore attributes are forward caches
+  and are skipped.  An input with no content encoding (a layer's
+  ``weight_transform`` function) makes the key ``None``, and the work
+  is computed.
+* **Values are immutable**: floats, read-only arrays, or records whose
+  caller hands out a fresh object per call (``make_dataset``).
+* **Lifetime**: one memo per ``run_matrix`` call, in each process that
+  runs its cells.  Outside a scope nothing is stored.  A process-wide
+  memo would let a second pass over the same matrix skip work the
+  first pass did, so two passes would no longer run the same program.
+* **Counts** live in :data:`STATS`, a plain object, not in
+  :mod:`repro.obs`: which cell hits depends on which worker ran which
+  cell, and merged matrix telemetry must not depend on the worker
+  count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, TypeVar
+
+import numpy as np
+
+from .layers import Layer, Parameter
+from .model import Model
+
+__all__ = [
+    "MemoStats",
+    "STATS",
+    "accuracy",
+    "content_key",
+    "memoized",
+    "restart",
+    "scope",
+]
+
+T = TypeVar("T")
+
+
+@dataclass
+class MemoStats:
+    """Work counters by kind (``"dataset"``, ``"accuracy"``,
+    ``"trigger"``): ``computed`` counts every computation, inside a
+    scope or not; ``hits`` counts values served from a memo."""
+
+    computed: Counter = field(default_factory=Counter)
+    hits: Counter = field(default_factory=Counter)
+
+
+#: Cumulative for the process; read it by differences.
+STATS = MemoStats()
+
+_active: dict[tuple[str, str], Any] | None = None
+
+
+@contextmanager
+def scope() -> Iterator[None]:
+    """A fresh memo for the enclosed work; the previous one (or none)
+    comes back on exit."""
+    global _active
+    previous = _active
+    _active = {}
+    try:
+        yield
+    finally:
+        _active = previous
+
+
+def restart() -> None:
+    """Replace the active memo with a fresh one.  A pool worker calls
+    this when a job from a new matrix arrives, since it cannot see
+    where the previous matrix ended."""
+    global _active
+    _active = {}
+
+
+class _Unkeyable(Exception):
+    """An input with no content encoding."""
+
+
+def _put(digest, tag: str, payload: bytes = b"") -> None:
+    digest.update(f"{tag}:{len(payload)}:".encode("utf-8"))
+    digest.update(payload)
+
+
+def _feed(digest, value: Any) -> None:
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:  # its bytes are pointers, not content
+            raise _Unkeyable(str(value.dtype))
+        array = np.ascontiguousarray(value)
+        _put(digest, f"array {array.dtype.str} {array.shape}", array.tobytes())
+    elif isinstance(value, Parameter):
+        _put(digest, "parameter")
+        _feed(digest, value.value)
+    elif isinstance(value, (Model, Layer)):
+        cls = type(value)
+        attrs = vars(value)
+        public = sorted(name for name in attrs if not name.startswith("_"))
+        _put(digest, f"object {cls.__module__}.{cls.__qualname__} {len(public)}")
+        for name in public:
+            _put(digest, "attr", name.encode("utf-8"))
+            _feed(digest, attrs[name])
+    elif isinstance(value, (list, tuple)):
+        _put(digest, f"{type(value).__name__} {len(value)}")
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, str):
+        _put(digest, "str", value.encode("utf-8"))
+    elif value is None or isinstance(value, (bool, int, float, np.generic)):
+        _put(digest, type(value).__name__, repr(value).encode("utf-8"))
+    else:
+        raise _Unkeyable(type(value).__name__)
+
+
+def content_key(*parts: Any) -> str | None:
+    """SHA-256 over the content of ``parts``, or ``None`` when one of
+    them (or anything inside a model or layer) has no content
+    encoding."""
+    digest = hashlib.sha256()
+    try:
+        for part in parts:
+            _feed(digest, part)
+    except _Unkeyable:
+        return None
+    return digest.hexdigest()
+
+
+def memoized(
+    kind: str, key: Callable[[], str | None], compute: Callable[[], T]
+) -> T:
+    """``compute()``, run once per ``(kind, key())`` inside a scope.
+
+    ``key`` is only called inside a scope, so work outside a matrix
+    pays no hashing."""
+    memo = _active
+    entry = None
+    if memo is not None:
+        digest = key()
+        if digest is not None:
+            entry = (kind, digest)
+            if entry in memo:
+                STATS.hits[kind] += 1
+                return memo[entry]
+    value = compute()
+    STATS.computed[kind] += 1
+    if entry is not None:
+        memo[entry] = value
+    return value
+
+
+def accuracy(model: Model, x: np.ndarray, labels: np.ndarray) -> float:
+    """``model.accuracy(x, labels)`` through the memo: the key covers
+    the model's state and structure, the probe and the labels."""
+    return memoized(
+        "accuracy",
+        lambda: content_key(model, x, labels),
+        lambda: model.accuracy(x, labels),
+    )

@@ -382,6 +382,7 @@ class ServingSimulation:
 
     def _attach_model_victim(self, dataset, qmodel) -> None:
         """A DNN resident on channel 0, its data rows protected."""
+        from ..nn import memo
         from ..nn.storage import WeightStore
 
         system = self.system
@@ -389,8 +390,8 @@ class ServingSimulation:
         self.dataset = dataset
         self.qmodel = qmodel
         self.store = WeightStore(channel0.device, qmodel, guard_rows=True)
-        self.clean_accuracy = qmodel.model.accuracy(
-            dataset.test_x, dataset.test_y
+        self.clean_accuracy = memo.accuracy(
+            qmodel.model, dataset.test_x, dataset.test_y
         )
         locals_used = self.store.data_rows
         if max(locals_used) >= TENANT_FIRST_LOCAL:

@@ -1,6 +1,8 @@
 """The parallel scenario harness: determinism, seeds, artifacts."""
 
 import json
+import os
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.eval.harness import (
     quick_scenarios,
     smoke_scenarios,
 )
+from repro.nn import make_dataset, memo
 
 QUICK = Scale.quick()
 
@@ -133,6 +136,81 @@ class TestRunMatrix:
     def test_strict_passes_clean_matrix(self):
         matrix = run_matrix([TINY_MATRIX[1]], workers=1, strict=True)
         assert not matrix.failures
+
+
+#: Two attacks, open and locked, against one tiny victim.
+TINY_ATTACKS = attack_scenarios(
+    Scale(input_hw=8, resnet_width=4, epochs=1, attack_batch=16),
+    iterations=1,
+    attacks=("backdoor", "bfa"),
+)
+
+
+def _payloads(results):
+    assert all(result.ok for result in results), [r.error for r in results]
+    return [result.payload for result in results]
+
+
+def _memo_probe(scale, seed):
+    """A runner reporting whether its dataset was a memo hit, and where."""
+    hits = memo.STATS.hits["dataset"]
+    make_dataset("probe", 2, hw=4, train_per_class=1, test_per_class=1)
+    return {"pid": os.getpid(), "hit": memo.STATS.hits["dataset"] > hits}
+
+
+class TestMatrixMemo:
+    """The cells of one matrix share their victim's clean-state work,
+    pinned by counts: one dataset, one clean accuracy and one trigger
+    per matrix, none shared across matrices or by lone cells."""
+
+    @staticmethod
+    def _counted(run):
+        computed = Counter(memo.STATS.computed)
+        hits = Counter(memo.STATS.hits)
+        value = run()
+        return (
+            value,
+            dict(memo.STATS.computed - computed),
+            dict(memo.STATS.hits - hits),
+        )
+
+    def test_matrix_computes_clean_state_once(self):
+        once = {"dataset": 1, "accuracy": 1, "trigger": 1}
+        shared = {"dataset": 3, "accuracy": 3, "trigger": 1}
+        first, computed, hits = self._counted(
+            lambda: run_matrix(TINY_ATTACKS, workers=1)
+        )
+        assert (computed, hits) == (once, shared)
+        # The memo ends with its matrix: the next one computes again.
+        second, computed, hits = self._counted(
+            lambda: run_matrix(TINY_ATTACKS, workers=1)
+        )
+        assert (computed, hits) == (once, shared)
+        alone, computed, hits = self._counted(
+            lambda: [run_scenario(scenario) for scenario in TINY_ATTACKS]
+        )
+        assert (computed, hits) == ({"dataset": 4, "accuracy": 4, "trigger": 2}, {})
+        parallel = run_matrix(TINY_ATTACKS, workers=2)
+        expected = _payloads(alone)
+        for matrix in (first, second, parallel):
+            assert _payloads(matrix.results) == expected
+
+    def test_worker_memo_lives_for_one_matrix(self, monkeypatch):
+        """On a reused pool, each worker computes once per matrix (its
+        first cell of the matrix) and hits after that."""
+        from repro.eval import harness
+
+        monkeypatch.setitem(harness.SCENARIO_RUNNERS, "memo-probe", _memo_probe)
+        harness.shutdown_worker_pool()  # fork after the runner exists
+        cells = [Scenario(f"probe-{i}", "memo-probe", QUICK) for i in range(4)]
+        try:
+            for _ in range(2):
+                payloads = _payloads(run_matrix(cells, workers=2).results)
+                workers = {payload["pid"] for payload in payloads}
+                misses = sum(not payload["hit"] for payload in payloads)
+                assert misses == len(workers)
+        finally:
+            harness.shutdown_worker_pool()
 
 
 class TestCannedSets:
@@ -378,6 +456,48 @@ class TestPersistentPoolAndProfiling:
             for (directory, key), value in saved.items():
                 nncache.memory_cache_put(directory, key, value)
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_cleared_victim_layer_recreates_pool(self, monkeypatch, method):
+        """A clear and a put leave the entry count as it was; the live
+        pool must still be replaced by one whose workers hold the new
+        entry (under spawn, shipped in the shared-memory manifest)."""
+        import multiprocessing
+
+        import numpy as np
+
+        from repro.eval import harness
+        from repro.nn import cache as nncache
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        monkeypatch.setattr(
+            harness.multiprocessing, "get_all_start_methods", lambda: [method]
+        )
+        saved = nncache.memory_cache_entries()
+        harness.shutdown_worker_pool()
+        nncache.memory_cache_clear()
+        try:
+            nncache.memory_cache_put(
+                "/cache/dir", "a", {"param:w": np.zeros(3, np.float32)}
+            )
+            pool, _ = harness._acquire_pool(1)
+            generation = nncache.memory_cache_generation()
+            nncache.memory_cache_clear()
+            assert nncache.memory_cache_generation() != generation
+            nncache.memory_cache_put(
+                "/cache/dir", "b", {"param:w": np.ones(3, np.float32)}
+            )
+            rebuilt, startup_s = harness._acquire_pool(1)
+            assert rebuilt is not pool and startup_s > 0.0
+            entries = rebuilt.apply(nncache.memory_cache_entries)
+            assert list(entries) == [("/cache/dir", "b")]
+            assert np.array_equal(entries["/cache/dir", "b"]["param:w"], np.ones(3))
+        finally:
+            harness.shutdown_worker_pool()
+            nncache.memory_cache_clear()
+            for (directory, key), value in saved.items():
+                nncache.memory_cache_put(directory, key, value)
+
     def test_memory_layer_serves_hits_without_disk(self, tmp_path):
         from repro.nn import cache as nncache
         from repro.nn.cache import VictimCache
@@ -406,6 +526,7 @@ class TestPersistentPoolAndProfiling:
 
     def test_failed_dispatch_drops_poisoned_pool(self, monkeypatch):
         from repro.eval import harness
+        from repro.nn import cache as nncache
 
         harness.shutdown_worker_pool()
 
@@ -426,7 +547,7 @@ class TestPersistentPoolAndProfiling:
             pool=PoisonedPool(),
             method="fork",
             processes=2,
-            generation=harness._shareable_generation(),
+            generation=nncache.memory_cache_generation(),
         )
         with pytest.raises(RuntimeError, match="worker died"):
             run_matrix(TINY_MATRIX, workers=2, tag="poison")

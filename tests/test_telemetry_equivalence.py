@@ -20,6 +20,7 @@ from repro.controller.controller import ENGINES
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.eval.harness import (
     DEFENDED_HAMMER_DEFENSES,
+    attack_scenarios,
     run_matrix,
     serving_scenarios,
     shutdown_worker_pool,
@@ -192,14 +193,8 @@ def test_chaos_audit_stream_identical_bulk_vs_events(chaos_victim):
 # ----------------------------------------------------------------------
 # Metrics: worker-count invariance through run_matrix
 # ----------------------------------------------------------------------
-def test_matrix_metrics_invariant_to_worker_count(monkeypatch):
+def _assert_metrics_invariant_to_worker_count(monkeypatch, scenarios):
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    scenarios = [
-        scenario
-        for scenario in serving_scenarios()
-        if scenario.name in ("serving-none-ch1", "serving-dram-locker-ch1")
-    ]
-    assert len(scenarios) == 2
     # Fresh pool: the workers must fork after REPRO_TELEMETRY is set.
     shutdown_worker_pool(force=True)
     try:
@@ -214,6 +209,31 @@ def test_matrix_metrics_invariant_to_worker_count(monkeypatch):
     summary_parallel = parallel.telemetry_summary()
     assert summary_serial["metrics"]["updates"] > 0
     assert summary_parallel == summary_serial
+
+
+def test_matrix_metrics_invariant_to_worker_count(monkeypatch):
+    scenarios = [
+        scenario
+        for scenario in serving_scenarios()
+        if scenario.name in ("serving-none-ch1", "serving-dram-locker-ch1")
+    ]
+    assert len(scenarios) == 2
+    _assert_metrics_invariant_to_worker_count(monkeypatch, scenarios)
+
+
+def test_attack_matrix_metrics_invariant_to_worker_count(monkeypatch):
+    """Serially the locked backdoor cell hits the memo for its clean
+    accuracy and trigger; on two workers each cell computes its own.
+    The merged metrics must not tell the difference."""
+    from repro.eval.experiments import Scale
+
+    scenarios = attack_scenarios(
+        Scale(input_hw=8, resnet_width=4, epochs=1, attack_batch=16),
+        iterations=1,
+        attacks=("backdoor",),
+    )
+    assert len(scenarios) == 2
+    _assert_metrics_invariant_to_worker_count(monkeypatch, scenarios)
 
 
 def test_telemetry_excluded_from_artifact_payloads(monkeypatch, tmp_path):
