@@ -317,9 +317,12 @@ class BatchNorm2d(Layer):
         return {"gamma": self.gamma, "beta": self.beta}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        mean = x.mean(axis=(0, 2, 3)) if training else self.running_mean
+        centered = x - mean[None, :, None, None]
         if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # x.var's own subtract, square, sum and divide, so the same
+            # bytes -- with the subtraction shared with x_hat.
+            var = np.square(centered).mean(axis=(0, 2, 3))
             self.running_mean = (
                 self.momentum * self.running_mean + (1 - self.momentum) * mean
             ).astype(np.float32)
@@ -327,22 +330,22 @@ class BatchNorm2d(Layer):
                 self.momentum * self.running_var + (1 - self.momentum) * var
             ).astype(np.float32)
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         state = _state
         gamma = self.gamma.value[None, :, None, None]
         beta = self.beta.value[None, :, None, None]
+        centered *= inv_std[None, :, None, None]  # x_hat, in place
         # dgamma reads x_hat, and so does a training-mode dX.
         if state == "all" or (state == "input" and training):
-            x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-            out = gamma * x_hat + beta
+            x_hat = centered
+            out = gamma * x_hat
         else:
-            # The same four operations in the same order, in one array.
+            # Nothing keeps x_hat: scale it in place (g * x == x * g).
             x_hat = None
-            out = x - mean[None, :, None, None]
-            out *= inv_std[None, :, None, None]
+            out = centered
             out *= gamma
-            out += beta
+        out += beta
         self._cache = None if state == "none" else (
             x_hat, inv_std, x.shape, training, state == "all"
         )
@@ -359,13 +362,13 @@ class BatchNorm2d(Layer):
         dxhat = dy * gamma
         if not was_training:
             # Eval mode: running stats don't depend on x.
-            return (dxhat * inv_std[None, :, None, None]).astype(np.float32)
+            return (dxhat * inv_std[None, :, None, None]).astype(np.float32, copy=False)
         sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
         sum_dxhat_xhat = (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
         dx = (
             dxhat - sum_dxhat / m - x_hat * sum_dxhat_xhat / m
         ) * inv_std[None, :, None, None]
-        return dx.astype(np.float32)
+        return dx.astype(np.float32, copy=False)
 
 
 class ReLU(Layer):
@@ -393,19 +396,26 @@ class MaxPool2d(Layer):
         k = self.k
         if h % k or w % k:
             raise ValueError(f"spatial size {h}x{w} not divisible by {k}")
-        blocks = x.reshape(n, c, h // k, k, w // k, k)
-        out = blocks.max(axis=(3, 5))
-        self._cache = None if _state == "none" else (
-            blocks == out[:, :, :, None, :, None], x.shape
-        )
+        # A fold of np.maximum over the k*k strided taps, in row-major
+        # order, from a copy of the first (so out never aliases x).  Max
+        # is exact, so the order can only show in a +0.0/-0.0 tie or a
+        # NaN; tests pin both against the block reduction.
+        out = x[:, :, ::k, ::k].copy()
+        for di in range(k):
+            for dj in range(k):
+                if di or dj:
+                    np.maximum(out, x[:, :, di::k, dj::k], out=out)
+        if _state == "none":
+            self._cache = None
+        else:
+            blocks = x.reshape(n, c, h // k, k, w // k, k)
+            self._cache = (blocks == out[:, :, :, None, :, None], x.shape)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         mask, shape = _kept(self._cache)
-        n, c, h, w = shape
-        k = self.k
         spread = mask * dy[:, :, :, None, :, None]
-        return spread.reshape(n, c, h, w).astype(np.float32)
+        return spread.reshape(shape).astype(np.float32, copy=False)
 
 
 class GlobalAvgPool(Layer):

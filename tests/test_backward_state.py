@@ -24,6 +24,7 @@ from repro.nn import (
     iter_layers,
     no_backward,
 )
+from repro.nn import functional
 from repro.nn import layers as nn_layers
 from repro.nn.functional import (
     contract,
@@ -62,18 +63,10 @@ def _randomize_batchnorms(net, rng: np.random.Generator) -> None:
             layer.beta.value[...] = rng.normal(0.0, 0.3, c)
 
 
-def _warm(model: Model, x: np.ndarray, labels: np.ndarray) -> None:
-    """One forward and backward, so ``contract`` has seen every GEMM
-    shape class.  A class's first call returns einsum's result, which
-    can differ from the certified fast path's in the sign of a zero
-    (certification compares with ``np.array_equal``); every later call
-    returns the certified bits."""
-    model.net.backward(cross_entropy_grad(model.forward(x), labels))
-
-
 def _check_modes(net, x: np.ndarray, labels: np.ndarray) -> None:
     model = Model(net)
-    _warm(model, x, labels)
+    # The first forward certifies what it can, so the no_backward()
+    # forwards below take the chunked paths.
     reference = model.forward(x)
     # Twice: a forward that keeps nothing must also leave nothing for
     # the next one to trip over.
@@ -177,7 +170,9 @@ def test_generated_stacks_agree_across_modes(case):
     seed=st.integers(0, 2**16),
 )
 # Shrunk counterexample: a 1x1 conv over a pad ring sees patches of pure
-# padding, where einsum and the GEMM disagree in the sign of zero.
+# padding, where einsum and the GEMM disagree in the sign of zero, so
+# contract must not certify the GEMM for this class (see
+# test_contract_certifies_bytes_not_values).
 @example(channels=1, hw=9, k=1, stride=1, pad=1, bias=False, batch=1, seed=51349)
 def test_generated_convs_match_whole_batch_columns(
     channels, hw, k, stride, pad, bias, batch, seed
@@ -192,7 +187,8 @@ def test_generated_convs_match_whole_batch_columns(
     x = rng.normal(size=(batch, channels, hw, hw)).astype(np.float32)
     oh, ow = conv_output_hw(hw, hw, k, stride, pad)
     cols = im2col(x, k, stride, pad)
-    contract("of,nfp->nop", conv.weight.value, cols)  # certifies; see _warm
+    # Certifies the class when the GEMM agrees in every byte, so the
+    # no_backward() forward below takes the chunked path.
     expected = contract("of,nfp->nop", conv.weight.value, cols)
     if bias:
         expected += conv.bias.value[None, :, None]
@@ -200,6 +196,21 @@ def test_generated_convs_match_whole_batch_columns(
     assert _same_bits(conv.forward(x), expected)
     with no_backward():
         assert _same_bits(conv.forward(x), expected)
+
+
+def test_contract_certifies_bytes_not_values(monkeypatch):
+    """The shrunk counterexample above, from an empty certification
+    table: einsum and the GEMM differ only in signs of zero, which
+    ``np.array_equal`` calls equal.  Certified on values, the class
+    would return einsum's bytes on the first call and the GEMM's on
+    the second."""
+    monkeypatch.setattr(functional, "_CONTRACT_OK", {})
+    rng = np.random.default_rng(51349)
+    conv = Conv2d(1, 3, 1, stride=1, pad=1, rng=rng)
+    x = rng.normal(size=(1, 1, 9, 9)).astype(np.float32)
+    cols = im2col(x, 1, 1, 1)
+    first = contract("of,nfp->nop", conv.weight.value, cols)
+    assert _same_bits(contract("of,nfp->nop", conv.weight.value, cols), first)
 
 
 def test_resnet_shaped_stack_agrees_across_modes():
@@ -221,8 +232,7 @@ def test_certified_conv_fills_columns_in_chunks(monkeypatch):
     conv = Conv2d(8, 8, 3, bias=True, rng=rng)
     conv.bias.value[...] = rng.normal(size=8)
     x = rng.normal(size=(2 * CONV_CHUNK + 3, 8, 16, 16)).astype(np.float32)
-    conv.forward(x)  # certifies the full-batch shape class; see _warm
-    reference = conv.forward(x)
+    reference = conv.forward(x)  # certifies the full-batch shape class
     if not stack_certified(conv.weight.value, (x.shape[0], 72, 256), x.dtype):
         pytest.skip("this BLAS does not certify the conv GEMM for the shape")
     rows, gemms = [], []
