@@ -5,7 +5,7 @@ at import time, so this package import is what populates ``ATTACKS``.
 """
 
 from .backdoor import BackdoorConfig, HammerableProfile, RowhammerBackdoor
-from .bfa import BFAConfig, BFAResult, FlipRecord, ProgressiveBitSearch
+from .bfa import BFAConfig, ProgressiveBitSearch
 from .hammer import HammerDriver, HammerOutcome
 from .progressive import MultiRoundBFA, MultiRoundConfig, MultiRoundResult
 from .pta import PagedWeights, PageTableAttack, PTARecord, PTAResult
@@ -20,15 +20,9 @@ from .registry import (
     register_attack,
     run_attack,
 )
+from .search import BitSearch, FlipRecord, SearchConfig, SearchResult
 from .session import SEARCH_ENGINES, SearchSession, SearchTerm, SessionStats
-from .tbfa import (
-    CETerm,
-    TBFAConfig,
-    TBFAResult,
-    TBFAttack,
-    TBFA_VARIANTS,
-    TargetedBitSearch,
-)
+from .tbfa import TBFAConfig, TBFAttack, TBFA_VARIANTS
 
 __all__ = [
     "ATTACKS",
@@ -36,9 +30,8 @@ __all__ = [
     "AttackContext",
     "AttackSpec",
     "BFAConfig",
-    "BFAResult",
     "BackdoorConfig",
-    "CETerm",
+    "BitSearch",
     "FlipRecord",
     "HammerDriver",
     "HammerOutcome",
@@ -54,14 +47,14 @@ __all__ = [
     "RandomAttack",
     "RowhammerBackdoor",
     "SEARCH_ENGINES",
+    "SearchConfig",
+    "SearchResult",
     "SearchSession",
     "SearchTerm",
     "SessionStats",
     "TBFAConfig",
-    "TBFAResult",
     "TBFAttack",
     "TBFA_VARIANTS",
-    "TargetedBitSearch",
     "available_attacks",
     "build_attack",
     "register_attack",

@@ -35,7 +35,8 @@ from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
 from .hammer import HammerDriver
 from .registry import AttackContext, register_attack
-from .tbfa import CETerm, TargetedBitSearch, TBFAConfig, TBFAResult
+from .search import BitSearch, SearchConfig
+from .session import SearchTerm
 
 __all__ = [
     "BackdoorConfig",
@@ -45,7 +46,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BackdoorConfig:
+class BackdoorConfig(SearchConfig):
     """Hyper-parameters of one backdoor-injection run."""
 
     target_class: int = 0
@@ -55,19 +56,11 @@ class BackdoorConfig:
     trigger_lr: float = 0.6
     #: Pixel clip range of the optimised patch (data is ~unit normal).
     patch_clip: float = 2.5
-    attack_batch: int = 64
     #: Weight of the keep-clean-accuracy objective term.
     clean_weight: float = 1.0
     #: Fraction of weight bits that profiling found hammerable.
     hammerable_fraction: float = 0.5
-    candidates_per_layer: int = 10
-    evals_per_layer: int = 3
-    layers_to_evaluate: int = 6
-    eval_limit: int = 512
     stop_at_asr: float | None = None
-    #: Candidate-evaluation engine for the flip search ("suffix"/"full").
-    engine: str = "suffix"
-    seed: int = 0
 
 
 class HammerableProfile:
@@ -105,8 +98,11 @@ class HammerableProfile:
         )
 
 
-class RowhammerBackdoor:
-    """Trigger training + constrained targeted bit search."""
+class RowhammerBackdoor(BitSearch):
+    """Trigger training + a targeted search constrained to hammerable
+    bits."""
+
+    maximize = False
 
     def __init__(
         self,
@@ -117,56 +113,38 @@ class RowhammerBackdoor:
         driver: HammerDriver | None = None,
         before_execute=None,
     ):
-        self.qmodel = qmodel
-        self.dataset = dataset
-        self.config = config or BackdoorConfig()
-        if self.config.patch_size > dataset.test_x.shape[-1]:
+        config = config or BackdoorConfig()
+        if config.patch_size > dataset.test_x.shape[-1]:
             raise ValueError("trigger patch larger than the input image")
-        rng = np.random.default_rng(self.config.seed)
-        batch = min(self.config.attack_batch, dataset.test_x.shape[0])
-        self.attack_x, self.attack_y = dataset.sample_attack_batch(batch, rng)
-        self.trigger = self._train_trigger(rng)
-        self.profile = HammerableProfile(
-            fraction=self.config.hammerable_fraction, seed=self.config.seed
-        )
-
-        target = self.config.target_class
-        triggered = self.apply_trigger(self.attack_x)
-        target_labels = np.full(
-            self.attack_y.shape, target, dtype=self.attack_y.dtype
-        )
-        terms = [
-            CETerm(triggered, target_labels),
-            CETerm(self.attack_x, self.attack_y, weight=self.config.clean_weight),
-        ]
-        # ASR: non-target-class test inputs that the trigger hijacks.
-        mask = dataset.test_y != target
-        limit = self.config.eval_limit
-        asr_inputs = self.apply_trigger(dataset.test_x[mask][:limit])
-        search_config = TBFAConfig(
-            variant="n-to-1",  # informational only; terms drive the search
-            target_class=target,
-            attack_batch=self.config.attack_batch,
-            candidates_per_layer=self.config.candidates_per_layer,
-            evals_per_layer=self.config.evals_per_layer,
-            layers_to_evaluate=self.config.layers_to_evaluate,
-            eval_limit=self.config.eval_limit,
-            stop_at_asr=self.config.stop_at_asr,
-            engine=self.config.engine,
-            seed=self.config.seed,
-        )
-        self.search = TargetedBitSearch(
+        super().__init__(
             qmodel,
             dataset,
-            terms,
-            asr_inputs,
-            target,
-            search_config,
+            config,
             store=store,
             driver=driver,
             before_execute=before_execute,
-            constraint=self.profile.feasible,
         )
+        self.trigger = self._train_trigger(self.rng)
+        self.profile = HammerableProfile(
+            fraction=config.hammerable_fraction, seed=config.seed
+        )
+        self.constraint = self.profile.feasible
+
+        target = config.target_class
+        target_labels = np.full(
+            self.attack_y.shape, target, dtype=self.attack_y.dtype
+        )
+        self.terms = (
+            SearchTerm(self.apply_trigger(self.attack_x), target_labels),
+            SearchTerm(self.attack_x, self.attack_y, weight=config.clean_weight),
+        )
+        # ASR: non-target-class test inputs that the trigger hijacks.
+        mask = dataset.test_y != target
+        self.asr_inputs = self.apply_trigger(
+            dataset.test_x[mask][: config.eval_limit]
+        )
+        self.asr_target = target
+        self.stop_at_asr = config.stop_at_asr
 
     # ------------------------------------------------------------------
     # Trigger
@@ -215,19 +193,6 @@ class RowhammerBackdoor:
         )
         model.zero_grad()  # trigger training leaves the weight grads zeroed
         return trigger
-
-    # ------------------------------------------------------------------
-    # Attack loop (delegates to the constrained targeted search)
-    # ------------------------------------------------------------------
-    def run(self, iterations: int) -> TBFAResult:
-        return self.search.run(iterations)
-
-    @property
-    def clean_accuracy_now(self) -> float:
-        limit = self.config.eval_limit
-        return self.qmodel.model.accuracy(
-            self.dataset.test_x[:limit], self.dataset.test_y[:limit]
-        )
 
 
 @register_attack(

@@ -1,250 +1,57 @@
 """BFA: the progressive bit search of Rakin et al. (ICCV 2019).
 
-Per iteration:
-
-1. compute loss gradients w.r.t. the (dequantized) weights on the
-   attack batch (the paper samples 128 test images);
-2. inside each layer, rank candidate weights by ``|grad|`` and, for the
-   top-k, score every stored bit by the *analytic* loss change
-   ``grad * delta_w`` a flip would cause (``delta_w`` follows from
-   two's-complement int8 arithmetic -- MSB flips move a weight by half
-   the dynamic range);
-3. evaluate the best candidate of each of the most promising layers
-   with a real forward pass (flip, measure, revert -- executed through
-   the shared :class:`~repro.attacks.session.SearchSession`, which
-   recomputes only the layers downstream of each candidate) and commit
-   the one that maximises the loss;
-4. execute the committed flip -- either directly on the quantized
-   payload (pure software ablation) or *through the DRAM simulator*
-   via a RowHammer campaign against the weight store.
-
-Step 4 is where DRAM-Locker bites: a blocked campaign wastes the whole
-iteration, which is exactly the "attacker needs ever more iterations"
-effect of the paper's Fig. 8.
+The untargeted family of :class:`~repro.attacks.search.BitSearch`: the
+objective is the victim's cross-entropy loss on the attack batch (the
+paper samples 128 test images), and the search *maximises* it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
-from .hammer import HammerDriver, execute_weight_flip
+from .hammer import HammerDriver
 from .registry import AttackContext, register_attack
-from .session import SearchSession, SearchTerm
+from .search import BitSearch, SearchConfig
+from .session import SearchTerm
 
-__all__ = [
-    "BFAConfig",
-    "FlipRecord",
-    "BFAResult",
-    "ProgressiveBitSearch",
-    "flip_loss_estimates",
-]
-
-
-def flip_loss_estimates(
-    q: np.ndarray, scale: float, grad: np.ndarray
-) -> np.ndarray:
-    """Analytic loss change ``grad * delta_w`` of flipping each stored
-    bit of each weight: a ``(len(q), 8)`` array under two's-complement
-    int8 arithmetic (an MSB flip moves a weight by half the dynamic
-    range).  Shared by the untargeted (BFA) and targeted (T-BFA /
-    backdoor) searches so the bit arithmetic cannot diverge."""
-    q16 = np.asarray(q, dtype=np.int16)
-    flipped = q16[:, None] ^ (1 << np.arange(8))[None, :]
-    flipped = np.where(flipped >= 128, flipped - 256, flipped)
-    delta_w = (flipped - q16[:, None]) * scale
-    return grad[:, None] * delta_w
+__all__ = ["BFAConfig", "ProgressiveBitSearch"]
 
 
 @dataclass(frozen=True)
-class BFAConfig:
+class BFAConfig(SearchConfig):
     """Attack hyper-parameters."""
 
     attack_batch: int = 128
-    candidates_per_layer: int = 10
-    #: Per layer, how many top-estimate candidates get a real forward pass.
-    evals_per_layer: int = 3
-    layers_to_evaluate: int = 6
-    #: Cap on test images used for the per-iteration accuracy probe.
-    eval_limit: int = 512
-    #: Candidate-evaluation engine: "suffix" (activation-cached, the
-    #: default) or "full" (the per-candidate full-forward reference).
-    #: Outcomes are bit-identical; only wall-clock differs.
-    engine: str = "suffix"
-    seed: int = 0
 
 
-@dataclass
-class FlipRecord:
-    """One committed (or attempted) bit flip."""
-
-    iteration: int
-    tensor: str
-    flat_index: int
-    bit: int
-    executed: bool
-    loss_after: float
-    accuracy_after: float
-    activations_blocked: int = 0
-
-
-@dataclass
-class BFAResult:
-    """Accuracy trajectory of one attack run."""
-
-    accuracies: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    flips: list[FlipRecord] = field(default_factory=list)
-
-    @property
-    def executed_flips(self) -> int:
-        return sum(1 for flip in self.flips if flip.executed)
-
-    def iterations_to_reach(self, accuracy_pct: float) -> int | None:
-        """First iteration at which accuracy fell to/under the target."""
-        for index, accuracy in enumerate(self.accuracies):
-            if accuracy <= accuracy_pct:
-                return index + 1
-        return None
-
-
-class ProgressiveBitSearch:
+class ProgressiveBitSearch(BitSearch):
     """The BFA attacker."""
+
+    maximize = True
 
     def __init__(
         self,
         qmodel: QuantizedModel,
         dataset: Dataset,
-        config: BFAConfig | None = None,
+        config: SearchConfig | None = None,
         store: WeightStore | None = None,
         driver: HammerDriver | None = None,
         repair=None,
         before_execute=None,
     ):
-        """``store``/``driver`` route flips through the DRAM simulator;
-        both ``None`` means a pure software attack (Fig. 1(a) mode).
-        ``repair`` is an optional post-flip model repair hook (the
-        weight-reconstruction defense of Table II).  ``before_execute``
-        is called with the chosen ``(tensor, index, bit)`` right before
-        the RowHammer campaign -- the protected-system experiments use
-        it to interleave the background tenant traffic whose unlock
-        SWAPs are DRAM-Locker's failure surface."""
-        if (store is None) != (driver is None):
-            raise ValueError("provide both store and driver, or neither")
-        self.qmodel = qmodel
-        self.dataset = dataset
-        self.config = config or BFAConfig()
-        self.store = store
-        self.driver = driver
-        self.repair = repair
-        self.before_execute = before_execute
-        rng = np.random.default_rng(self.config.seed)
-        batch = min(self.config.attack_batch, dataset.test_x.shape[0])
-        self.attack_x, self.attack_y = dataset.sample_attack_batch(batch, rng)
-        #: The search objective as the shared engine sees it.
+        super().__init__(
+            qmodel,
+            dataset,
+            config or BFAConfig(),
+            store=store,
+            driver=driver,
+            repair=repair,
+            before_execute=before_execute,
+        )
         self.terms = (SearchTerm(self.attack_x, self.attack_y),)
-        self.session = SearchSession(qmodel, engine=self.config.engine)
-        # Slice the accuracy-probe subset once; re-slicing it every
-        # iteration bought nothing (the arrays never change).
-        limit = self.config.eval_limit
-        self.eval_x = dataset.test_x[:limit]
-        self.eval_y = dataset.test_y[:limit]
-        # Progressive search never revisits a bit: flipping one back
-        # would just undo progress (and oscillate).
-        self._visited: set[tuple[str, int, int]] = set()
-
-    # ------------------------------------------------------------------
-    # Candidate search
-    # ------------------------------------------------------------------
-    def _rank_candidates(self) -> list[tuple[float, str, int, int]]:
-        """Best (estimated dloss, tensor, index, bit) per layer, sorted."""
-        grads = self.session.objective_grads(self.terms)
-        per_layer: list[tuple[float, str, int, int]] = []
-        k = self.config.candidates_per_layer
-        for name, tensor in self.qmodel.tensors.items():
-            grad = grads[name]
-            if grad.size == 0:
-                continue
-            top = np.argsort(np.abs(grad))[-k:]
-            estimate = flip_loss_estimates(
-                tensor.q.reshape(-1)[top], tensor.scale, grad[top]
-            )  # positive = loss up
-            order = np.argsort(estimate.reshape(-1))[::-1]
-            taken = 0
-            for flat in order:
-                weight_pos, bit = divmod(int(flat), 8)
-                candidate = (name, int(top[weight_pos]), bit)
-                if candidate not in self._visited:
-                    per_layer.append(
-                        (float(estimate.reshape(-1)[flat]), *candidate)
-                    )
-                    taken += 1
-                    if taken >= self.config.evals_per_layer:
-                        break
-        per_layer.sort(reverse=True)
-        return per_layer
-
-    def _choose_flip(self) -> tuple[str, int, int, float]:
-        """Real-forward-pass evaluation of the top per-layer candidates
-        (suffix-cached and same-layer-batched through the session)."""
-        candidates = self._rank_candidates()[: self.config.layers_to_evaluate]
-        losses = self.session.evaluate_flips(
-            self.terms, [(name, index, bit) for _, name, index, bit in candidates]
-        )
-        best = None
-        for (_, name, index, bit), loss in zip(candidates, losses):
-            if best is None or loss > best[3]:
-                best = (name, index, bit, loss)
-        if best is None:
-            raise RuntimeError("no flip candidates found")
-        return best
-
-    # ------------------------------------------------------------------
-    # Attack loop
-    # ------------------------------------------------------------------
-    def run(self, iterations: int, stop_at_accuracy: float | None = None) -> BFAResult:
-        """Run the attack; accuracy is recorded after every iteration."""
-        result = BFAResult()
-        for iteration in range(1, iterations + 1):
-            if self.store is not None:
-                self.store.sync_model()
-            name, index, bit, _ = self._choose_flip()
-            self._visited.add((name, index, bit))
-            if self.before_execute is not None:
-                self.before_execute(name, index, bit)
-            executed, blocked = self._execute_flip(name, index, bit)
-            if self.store is not None:
-                self.store.sync_model()
-            if self.repair is not None:
-                self.repair(self.qmodel.model)
-            loss = self.session.objective(self.terms, key="loss")
-            accuracy = self.session.accuracy(self.eval_x, self.eval_y)
-            result.flips.append(
-                FlipRecord(
-                    iteration=iteration,
-                    tensor=name,
-                    flat_index=index,
-                    bit=bit,
-                    executed=executed,
-                    loss_after=loss,
-                    accuracy_after=accuracy,
-                    activations_blocked=blocked,
-                )
-            )
-            result.losses.append(loss)
-            result.accuracies.append(accuracy)
-            if stop_at_accuracy is not None and accuracy <= stop_at_accuracy:
-                break
-        return result
-
-    def _execute_flip(self, name: str, index: int, bit: int) -> tuple[bool, int]:
-        return execute_weight_flip(
-            self.qmodel, self.store, self.driver, name, index, bit
-        )
 
 
 @register_attack(

@@ -1,12 +1,14 @@
 """Multi-round BFA: a persistent attacker vs DRAM-Locker's swap windows.
 
 :class:`~repro.attacks.bfa.ProgressiveBitSearch` gives up on a bit the
-moment a campaign is blocked -- its visited-set exists so the search
-never oscillates.  A real co-located attacker is more patient: blocked
-targets stay valuable, and DRAM-Locker's only failure surface is the
-*unlock-SWAP window* that privileged tenant traffic opens (and that the
-process-variation failure rate occasionally leaves ajar).  This attack
-models that patience:
+moment a campaign is blocked -- its ``visited`` set exists so the
+search never oscillates.  A real co-located attacker is more patient:
+blocked targets stay valuable, and DRAM-Locker's only failure surface
+is the *unlock-SWAP window* that privileged tenant traffic opens (and
+that the process-variation failure rate occasionally leaves ajar).
+This attack models that patience on the driver's public
+:meth:`~repro.attacks.search.BitSearch.step` (a fresh target) and
+:meth:`~repro.attacks.search.BitSearch.attempt` (a retry):
 
 * the campaign is split into **rounds**; each round first retries the
   highest-value flips that previous rounds failed to land, then spends
@@ -37,15 +39,16 @@ from dataclasses import dataclass, field
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
-from .bfa import BFAConfig, FlipRecord, ProgressiveBitSearch
+from .bfa import ProgressiveBitSearch
 from .hammer import HammerDriver
 from .registry import AttackContext, register_attack
+from .search import SearchConfig, SearchResult
 
 __all__ = ["MultiRoundConfig", "MultiRoundResult", "MultiRoundBFA"]
 
 
 @dataclass(frozen=True)
-class MultiRoundConfig:
+class MultiRoundConfig(SearchConfig):
     """Hyper-parameters of the multi-round campaign."""
 
     rounds: int = 3
@@ -54,36 +57,21 @@ class MultiRoundConfig:
     #: Tenant accesses issued immediately before each retry -- the
     #: privileged traffic whose unlock-SWAPs open the attack window.
     tenant_accesses_per_retry: int = 2
-    attack_batch: int = 64
-    candidates_per_layer: int = 10
-    evals_per_layer: int = 3
-    layers_to_evaluate: int = 6
-    eval_limit: int = 512
-    #: Candidate-evaluation engine of the inner search ("suffix"/"full").
-    engine: str = "suffix"
-    seed: int = 0
 
 
 @dataclass
-class MultiRoundResult:
+class MultiRoundResult(SearchResult):
     """Accuracy trajectory plus the per-round retry bookkeeping."""
 
-    accuracies: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-    flips: list[FlipRecord] = field(default_factory=list)
     #: One summary dict per round: attempts, landed, retries, pending.
     rounds: list[dict] = field(default_factory=list)
-
-    @property
-    def executed_flips(self) -> int:
-        return sum(1 for flip in self.flips if flip.executed)
 
     @property
     def retried_flips(self) -> int:
         return sum(r["retries"] for r in self.rounds)
 
 
-class MultiRoundBFA:
+class MultiRoundBFA(ProgressiveBitSearch):
     """Rounds of progressive bit search with swap-window retries."""
 
     def __init__(
@@ -99,64 +87,16 @@ class MultiRoundBFA:
         each retry -- typically a
         :class:`~repro.serving.GuardRowTenant` bound to the victim's
         store and controller."""
-        if (store is None) != (driver is None):
-            raise ValueError("provide both store and driver, or neither")
-        self.config = config or MultiRoundConfig()
-        search_config = BFAConfig(
-            attack_batch=self.config.attack_batch,
-            candidates_per_layer=self.config.candidates_per_layer,
-            evals_per_layer=self.config.evals_per_layer,
-            layers_to_evaluate=self.config.layers_to_evaluate,
-            eval_limit=self.config.eval_limit,
-            engine=self.config.engine,
-            seed=self.config.seed,
-        )
-        # The inner search supplies gradient ranking, flip execution and
-        # the evaluation plumbing; this class owns the round/retry loop,
-        # so the inner .run() is never called.
-        self.search = ProgressiveBitSearch(
+        super().__init__(
             qmodel,
             dataset,
-            search_config,
+            config or MultiRoundConfig(),
             store=store,
             driver=driver,
         )
-        self.qmodel = qmodel
-        self.dataset = dataset
-        self.store = store
         self.tenant_hook = tenant_hook
         #: (tensor, index, bit) -> failed attempts so far.
         self._pending: dict[tuple[str, int, int], int] = {}
-
-    # ------------------------------------------------------------------
-    # One attempt (fresh target or retry)
-    # ------------------------------------------------------------------
-    def _attempt(
-        self, iteration: int, target: tuple[str, int, int], retry: bool
-    ) -> FlipRecord:
-        name, index, bit = target
-        if retry and self.tenant_hook is not None:
-            # Interleave with the locker: privileged accesses right
-            # before the campaign force unlock-SWAPs on the guard rows,
-            # so the retry rides the swap window (or its failure).
-            for _ in range(self.config.tenant_accesses_per_retry):
-                self.tenant_hook(name, index, bit)
-        executed, blocked = self.search._execute_flip(name, index, bit)
-        if self.store is not None:
-            self.store.sync_model()
-        session = self.search.session
-        loss = session.objective(self.search.terms, key="loss")
-        accuracy = session.accuracy(self.search.eval_x, self.search.eval_y)
-        return FlipRecord(
-            iteration=iteration,
-            tensor=name,
-            flat_index=index,
-            bit=bit,
-            executed=executed,
-            loss_after=loss,
-            accuracy_after=accuracy,
-            activations_blocked=blocked,
-        )
 
     # ------------------------------------------------------------------
     # Attack loop
@@ -184,10 +124,15 @@ class MultiRoundBFA:
                 attempts += 1
                 retries += 1
                 budget -= 1
-                record = self._attempt(iteration, target, retry=True)
-                result.flips.append(record)
-                result.losses.append(record.loss_after)
-                result.accuracies.append(record.accuracy_after)
+                if self.tenant_hook is not None:
+                    # Interleave with the locker: privileged accesses
+                    # right before the campaign force unlock-SWAPs on
+                    # the guard rows, so the retry rides the swap
+                    # window (or its failure).
+                    for _ in range(config.tenant_accesses_per_retry):
+                        self.tenant_hook(*target)
+                record = self.attempt(iteration, target)
+                result.record(record)
                 if record.executed:
                     landed += 1
                     del self._pending[target]
@@ -195,23 +140,22 @@ class MultiRoundBFA:
                     self._pending[target] += 1
                     if self._pending[target] >= config.retry_limit:
                         del self._pending[target]
-            # Fresh gradient-ranked targets for the rest of the budget.
+            # Fresh gradient-ranked targets for the rest of the budget,
+            # until no feasible bit is left (pending retries go on in
+            # the next round).
             while budget > 0:
-                if self.store is not None:
-                    self.store.sync_model()
-                name, index, bit, _ = self.search._choose_flip()
-                self.search._visited.add((name, index, bit))
+                record = self.step(iteration + 1)
+                if record is None:
+                    break
                 iteration += 1
                 attempts += 1
                 budget -= 1
-                record = self._attempt(iteration, (name, index, bit), retry=False)
-                result.flips.append(record)
-                result.losses.append(record.loss_after)
-                result.accuracies.append(record.accuracy_after)
+                result.record(record)
                 if record.executed:
                     landed += 1
                 else:
-                    self._pending[(name, index, bit)] = 1
+                    target = (record.tensor, record.flat_index, record.bit)
+                    self._pending[target] = 1
             result.rounds.append(
                 {
                     "round": round_index + 1,

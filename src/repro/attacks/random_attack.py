@@ -13,9 +13,9 @@ from ..nn import memo
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
-from .bfa import BFAResult, FlipRecord
-from .hammer import HammerDriver
+from .hammer import HammerDriver, execute_weight_flip
 from .registry import AttackContext, register_attack
+from .search import FlipRecord, SearchResult
 
 __all__ = ["RandomAttack"]
 
@@ -45,21 +45,17 @@ class RandomAttack:
         total = sum(sizes.values())
         self._weights = np.array([sizes[n] / total for n in self._names])
 
-    def run(self, iterations: int) -> BFAResult:
-        result = BFAResult()
+    def run(self, iterations: int) -> SearchResult:
+        result = SearchResult()
         for iteration in range(1, iterations + 1):
             name = self.rng.choice(self._names, p=self._weights)
             tensor = self.qmodel.tensors[name]
             index = int(self.rng.integers(tensor.q.size))
             bit = int(self.rng.integers(8))
-            if self.store is None:
-                self.qmodel.flip_bit(name, index, bit)
-                executed, blocked = True, 0
-            else:
-                assert self.driver is not None
-                row, row_bit = self.store.bit_location(name, index, bit)
-                outcome = self.driver.hammer_bit(row, row_bit)
-                executed, blocked = outcome.flipped, outcome.activations_blocked
+            executed, blocked = execute_weight_flip(
+                self.qmodel, self.store, self.driver, name, index, bit
+            )
+            if self.store is not None:
                 self.store.sync_model()
             loss = self.qmodel.model.loss(
                 self.dataset.test_x[:128], self.dataset.test_y[:128]
@@ -72,20 +68,18 @@ class RandomAttack:
                 self.dataset.test_x[:limit],
                 self.dataset.test_y[:limit],
             )
-            result.flips.append(
+            result.record(
                 FlipRecord(
                     iteration=iteration,
                     tensor=name,
                     flat_index=index,
                     bit=bit,
                     executed=executed,
-                    loss_after=loss,
+                    objective_after=loss,
                     accuracy_after=accuracy,
                     activations_blocked=blocked,
                 )
             )
-            result.losses.append(loss)
-            result.accuracies.append(accuracy)
         return result
 
 

@@ -93,7 +93,7 @@ def summarize_generic(result: Any) -> dict:
     accuracies = list(getattr(result, "accuracies", []))
     flips = getattr(result, "flips", None) or getattr(result, "records", [])
     metrics: dict[str, Any] = {}
-    if hasattr(result, "asr"):
+    if getattr(result, "asr", None) is not None:
         metrics["asr"] = list(result.asr)
         metrics["final_asr"] = result.asr[-1] if result.asr else 0.0
     if hasattr(result, "rounds"):

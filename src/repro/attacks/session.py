@@ -1,9 +1,10 @@
 """SearchSession: the shared suffix-forward engine of every bit search.
 
-Each iteration of a progressive bit search (BFA, the three T-BFA
-regimes, the backdoor injection, multi-round BFA) evaluates a handful
-of candidate flips with a real forward pass, then measures loss /
-accuracy / ASR probes over fixed evaluation sets.  A candidate flip
+Each iteration of the progressive bit search
+(:class:`~repro.attacks.search.BitSearch`, the driver of BFA, the three
+T-BFA regimes, the backdoor injection and multi-round BFA) evaluates a
+handful of candidate flips with a real forward pass, then measures
+objective / accuracy / ASR probes over fixed evaluation sets.  A candidate flip
 perturbs exactly one weight in one top-level layer ``k``, so a full
 forward pass recomputes layers ``0..k-1`` for nothing; and a blocked
 campaign leaves the weight state byte-identical, so the probes
@@ -77,11 +78,7 @@ Candidate = tuple[str, int, int]
 
 
 class SearchTerm(NamedTuple):
-    """One weighted cross-entropy term of a search objective.
-
-    Structurally compatible with :class:`repro.attacks.tbfa.CETerm`;
-    the session only reads ``x`` / ``labels`` / ``weight``.
-    """
+    """One weighted cross-entropy term of a search objective."""
 
     x: np.ndarray
     labels: np.ndarray

@@ -1,8 +1,9 @@
 """T-BFA: the targeted bit-flip attack of Rakin et al. (arXiv:2007.12336).
 
 Where BFA maximises the victim's loss indiscriminately, T-BFA *steers*
-it.  The paper defines three regimes, all reproduced here on top of one
-:class:`TargetedBitSearch` engine:
+it.  The paper defines three regimes, all reproduced here as
+objectives of the shared :class:`~repro.attacks.search.BitSearch`
+driver, which *minimises* them:
 
 * **N-to-1** -- every input, whatever its true class, should classify
   as the attacker's target class;
@@ -12,274 +13,47 @@ it.  The paper defines three regimes, all reproduced here on top of one
   accuracy on every other class is explicitly preserved*, so the
   hijack stays invisible to aggregate accuracy monitoring.
 
-The engine minimises a weighted sum of cross-entropy terms
-(:class:`CETerm`): per iteration it ranks candidate weight bits by the
-analytic objective change ``grad * delta_w`` a flip would cause,
-evaluates the best few with real forward passes (through the shared
-suffix-forward :class:`~repro.attacks.session.SearchSession`, like
-BFA), and commits the flip that lowers the objective most -- executed
-either directly on the quantized payload or through the DRAM simulator
-via RowHammer.  An optional ``constraint`` predicate restricts the search to
-physically hammerable bits (see :mod:`repro.attacks.backdoor`).
+Each regime is a weighted sum of cross-entropy terms
+(:class:`~repro.attacks.session.SearchTerm`) plus the inputs its
+attack success rate (ASR) is measured on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
-from .bfa import flip_loss_estimates
-from .hammer import HammerDriver, execute_weight_flip
+from .hammer import HammerDriver
 from .registry import AttackContext, register_attack
-from .session import SearchSession
+from .search import BitSearch, SearchConfig
+from .session import SearchTerm
 
-__all__ = [
-    "CETerm",
-    "TBFAConfig",
-    "TBFARecord",
-    "TBFAResult",
-    "TargetedBitSearch",
-    "TBFAttack",
-    "TBFA_VARIANTS",
-]
+__all__ = ["TBFAConfig", "TBFAttack", "TBFA_VARIANTS"]
 
 TBFA_VARIANTS = ("n-to-1", "1-to-1", "1-to-1-stealthy")
 
-#: Feasibility predicate over ``(tensor, flat_index, bit, current_bit)``.
-FlipConstraint = Callable[[str, int, int, int], bool]
-
 
 @dataclass(frozen=True)
-class CETerm:
-    """One weighted cross-entropy term of a targeted objective."""
-
-    x: np.ndarray
-    labels: np.ndarray
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
-class TBFAConfig:
+class TBFAConfig(SearchConfig):
     """Hyper-parameters of one targeted attack run."""
 
     variant: str = "n-to-1"
     target_class: int = 0
     source_class: int = 1
-    attack_batch: int = 64
-    candidates_per_layer: int = 10
-    evals_per_layer: int = 3
-    layers_to_evaluate: int = 6
-    eval_limit: int = 512
     #: Weight of the keep-everything-else-correct term (stealthy mode).
     stealth_weight: float = 1.0
     #: Stop once the attack success rate reaches this level (percent).
     stop_at_asr: float | None = None
-    #: Candidate-evaluation engine ("suffix" or the "full" reference);
-    #: bit-identical outcomes, different wall-clock.
-    engine: str = "suffix"
-    seed: int = 0
 
 
-@dataclass
-class TBFARecord:
-    """One committed (or attempted) targeted flip."""
+class TBFAttack(BitSearch):
+    """The three T-BFA regimes as objectives of the shared driver."""
 
-    iteration: int
-    tensor: str
-    flat_index: int
-    bit: int
-    executed: bool
-    objective_after: float
-    asr_after: float
-    accuracy_after: float
-    activations_blocked: int = 0
-
-
-@dataclass
-class TBFAResult:
-    """ASR / accuracy trajectories of one targeted attack run."""
-
-    asr: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
-    flips: list[TBFARecord] = field(default_factory=list)
-
-    @property
-    def executed_flips(self) -> int:
-        return sum(1 for flip in self.flips if flip.executed)
-
-    @property
-    def final_asr(self) -> float:
-        return self.asr[-1] if self.asr else 0.0
-
-
-class TargetedBitSearch:
-    """Progressive bit search that *minimises* a targeted objective.
-
-    The objective is ``sum(term.weight * CE(term.x, term.labels))``;
-    ``asr_inputs``/``asr_target`` define the success metric (fraction of
-    the given inputs classified as the target, in percent).
-    """
-
-    def __init__(
-        self,
-        qmodel: QuantizedModel,
-        dataset: Dataset,
-        terms: Sequence[CETerm],
-        asr_inputs: np.ndarray,
-        asr_target: int,
-        config: TBFAConfig,
-        store: WeightStore | None = None,
-        driver: HammerDriver | None = None,
-        before_execute=None,
-        constraint: FlipConstraint | None = None,
-    ):
-        if (store is None) != (driver is None):
-            raise ValueError("provide both store and driver, or neither")
-        if not terms:
-            raise ValueError("targeted objective needs at least one term")
-        self.qmodel = qmodel
-        self.dataset = dataset
-        self.terms = list(terms)
-        self.asr_inputs = asr_inputs
-        self.asr_target = asr_target
-        self.config = config
-        self.store = store
-        self.driver = driver
-        self.before_execute = before_execute
-        self.constraint = constraint
-        self.session = SearchSession(qmodel, engine=config.engine)
-        # Slice the accuracy-probe subset once (it never changes).
-        limit = config.eval_limit
-        self.eval_x = dataset.test_x[:limit]
-        self.eval_y = dataset.test_y[:limit]
-        self._visited: set[tuple[str, int, int]] = set()
-
-    # ------------------------------------------------------------------
-    # Objective
-    # ------------------------------------------------------------------
-    def objective(self) -> float:
-        return self.session.objective(self.terms)
-
-    # ------------------------------------------------------------------
-    # Candidate search (mirrors BFA's ranking, with the sign flipped:
-    # we want the most *negative* estimated objective change)
-    # ------------------------------------------------------------------
-    def _feasible(self, name: str, index: int, bit: int) -> bool:
-        if (name, index, bit) in self._visited:
-            return False
-        if self.constraint is None:
-            return True
-        current = int(
-            self.qmodel.tensors[name].q.reshape(-1).view(np.uint8)[index]
-            >> bit
-        ) & 1
-        return self.constraint(name, index, bit, current)
-
-    def _rank_candidates(self) -> list[tuple[float, str, int, int]]:
-        grads = self.session.objective_grads(self.terms)
-        per_layer: list[tuple[float, str, int, int]] = []
-        k = self.config.candidates_per_layer
-        for name, tensor in self.qmodel.tensors.items():
-            grad = grads[name]
-            if grad.size == 0:
-                continue
-            top = np.argsort(np.abs(grad))[-k:]
-            estimate = flip_loss_estimates(
-                tensor.q.reshape(-1)[top], tensor.scale, grad[top]
-            )  # negative = objective down
-            order = np.argsort(estimate.reshape(-1))
-            taken = 0
-            for flat in order:
-                weight_pos, bit = divmod(int(flat), 8)
-                index = int(top[weight_pos])
-                if self._feasible(name, index, bit):
-                    per_layer.append(
-                        (float(estimate.reshape(-1)[flat]), name, index, bit)
-                    )
-                    taken += 1
-                    if taken >= self.config.evals_per_layer:
-                        break
-        per_layer.sort()
-        return per_layer
-
-    def _choose_flip(self) -> tuple[str, int, int, float] | None:
-        candidates = self._rank_candidates()[: self.config.layers_to_evaluate]
-        objectives = self.session.evaluate_flips(
-            self.terms, [(name, index, bit) for _, name, index, bit in candidates]
-        )
-        best = None
-        for (_, name, index, bit), objective in zip(candidates, objectives):
-            if best is None or objective < best[3]:
-                best = (name, index, bit, objective)
-        return best
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def attack_success_rate(self) -> float:
-        """Percent of the ASR inputs classified as the target class."""
-        if self.asr_inputs.shape[0] == 0:
-            return 0.0
-        return self.session.success_rate(self.asr_inputs, self.asr_target)
-
-    # ------------------------------------------------------------------
-    # Attack loop
-    # ------------------------------------------------------------------
-    def run(self, iterations: int) -> TBFAResult:
-        result = TBFAResult()
-        for iteration in range(1, iterations + 1):
-            if self.store is not None:
-                self.store.sync_model()
-            choice = self._choose_flip()
-            if choice is None:
-                break  # constraint exhausted every candidate
-            name, index, bit, _ = choice
-            self._visited.add((name, index, bit))
-            if self.before_execute is not None:
-                self.before_execute(name, index, bit)
-            executed, blocked = self._execute_flip(name, index, bit)
-            if self.store is not None:
-                self.store.sync_model()
-            objective = self.objective()
-            asr = self.attack_success_rate()
-            accuracy = self.session.accuracy(self.eval_x, self.eval_y)
-            result.flips.append(
-                TBFARecord(
-                    iteration=iteration,
-                    tensor=name,
-                    flat_index=index,
-                    bit=bit,
-                    executed=executed,
-                    objective_after=objective,
-                    asr_after=asr,
-                    accuracy_after=accuracy,
-                    activations_blocked=blocked,
-                )
-            )
-            result.objectives.append(objective)
-            result.asr.append(asr)
-            result.accuracies.append(accuracy)
-            if (
-                self.config.stop_at_asr is not None
-                and asr >= self.config.stop_at_asr
-            ):
-                break
-        return result
-
-    def _execute_flip(self, name: str, index: int, bit: int) -> tuple[bool, int]:
-        return execute_weight_flip(
-            self.qmodel, self.store, self.driver, name, index, bit
-        )
-
-
-class TBFAttack(TargetedBitSearch):
-    """The three T-BFA regimes, assembled from the shared engine."""
+    maximize = False
 
     def __init__(
         self,
@@ -289,7 +63,6 @@ class TBFAttack(TargetedBitSearch):
         store: WeightStore | None = None,
         driver: HammerDriver | None = None,
         before_execute=None,
-        constraint: FlipConstraint | None = None,
     ):
         config = config or TBFAConfig()
         if config.variant not in TBFA_VARIANTS:
@@ -300,12 +73,18 @@ class TBFAttack(TargetedBitSearch):
         target = config.target_class
         if not 0 <= target < dataset.num_classes:
             raise ValueError(f"target class {target} out of range")
-        rng = np.random.default_rng(config.seed)
-        batch = min(config.attack_batch, dataset.test_x.shape[0])
-        x, y = dataset.sample_attack_batch(batch, rng)
+        super().__init__(
+            qmodel,
+            dataset,
+            config,
+            store=store,
+            driver=driver,
+            before_execute=before_execute,
+        )
+        x, y = self.attack_x, self.attack_y
 
         if config.variant == "n-to-1":
-            terms = [CETerm(x, np.full(y.shape, target, dtype=y.dtype))]
+            terms = [SearchTerm(x, np.full(y.shape, target, dtype=y.dtype))]
             # Success = non-target inputs dragged into the target class.
             asr_mask = dataset.test_y != target
         else:
@@ -318,30 +97,20 @@ class TBFAttack(TargetedBitSearch):
                     f"attack batch has no samples of source class {source}"
                 )
             terms = [
-                CETerm(
+                SearchTerm(
                     x[src], np.full(int(src.sum()), target, dtype=y.dtype)
                 )
             ]
             if config.variant == "1-to-1-stealthy" and (~src).any():
                 terms.append(
-                    CETerm(x[~src], y[~src], weight=config.stealth_weight)
+                    SearchTerm(x[~src], y[~src], weight=config.stealth_weight)
                 )
             asr_mask = dataset.test_y == source
 
-        limit = config.eval_limit
-        asr_inputs = dataset.test_x[asr_mask][:limit]
-        super().__init__(
-            qmodel,
-            dataset,
-            terms,
-            asr_inputs,
-            target,
-            config,
-            store=store,
-            driver=driver,
-            before_execute=before_execute,
-            constraint=constraint,
-        )
+        self.terms = tuple(terms)
+        self.asr_inputs = dataset.test_x[asr_mask][: config.eval_limit]
+        self.asr_target = target
+        self.stop_at_asr = config.stop_at_asr
 
 
 def _build_tbfa(variant: str, ctx: AttackContext, **params) -> TBFAttack:

@@ -117,6 +117,12 @@ class TestRegistry:
             assert key in payload
         assert payload["attack"] == "bfa"
         assert payload["iterations"] == 2
+        # Untargeted payloads carry no ASR; targeted ones always do,
+        # even with no iteration recorded.
+        assert "asr" not in payload["metrics"]
+        targeted = run_attack("tbfa-n-to-1", ctx, 0)
+        assert targeted["metrics"]["asr"] == []
+        assert targeted["metrics"]["final_asr"] == 0.0
 
     def test_summarize_generic_handles_asr(self):
         class R:

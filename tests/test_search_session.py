@@ -1,24 +1,33 @@
 """The suffix-forward search engine: bit-identical outcome equivalence
-against the full-forward reference for every bit-search family, plus
-the prefix-activation-cache invalidation contract and the digest
-memoization of probes/gradients."""
+against the full-forward reference for every bit-search family (hand
+picked, then generated over the shared driver), the driver's ranking
+against the two loops it replaced, plus the prefix-activation-cache
+invalidation contract and the digest memoization of probes/gradients."""
+
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks import (
     BackdoorConfig,
     BFAConfig,
+    BitSearch,
+    HammerableProfile,
     HammerDriver,
     MultiRoundBFA,
     MultiRoundConfig,
     ProgressiveBitSearch,
     RowhammerBackdoor,
+    SearchConfig,
     SearchSession,
     SearchTerm,
     TBFAConfig,
     TBFAttack,
 )
+from repro.attacks.search import flip_loss_estimates
 from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.locker import DRAMLocker, LockMode, LockerConfig
@@ -80,13 +89,13 @@ class TestEngineEquivalence:
             6,
         )
         assert [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in full.flips
         ] == [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in suffix.flips
         ]
-        assert full.losses == suffix.losses
+        assert full.objectives == suffix.objectives
         assert full.accuracies == suffix.accuracies
 
     @pytest.mark.parametrize(
@@ -151,10 +160,10 @@ class TestEngineEquivalence:
             6,
         )
         assert [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in full.flips
         ] == [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in suffix.flips
         ]
         assert full.rounds == suffix.rounds
@@ -189,10 +198,10 @@ class TestEngineEquivalence:
             5,
         )
         assert [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in full.flips
         ] == [
-            (f.tensor, f.flat_index, f.bit, f.loss_after, f.accuracy_after)
+            (f.tensor, f.flat_index, f.bit, f.objective_after, f.accuracy_after)
             for f in suffix.flips
         ]
 
@@ -235,11 +244,11 @@ class TestEngineEquivalence:
 
         full, suffix = run_both_engines(qmodel, build, 5)
         assert [
-            (f.tensor, f.flat_index, f.bit, f.executed, f.loss_after,
+            (f.tensor, f.flat_index, f.bit, f.executed, f.objective_after,
              f.accuracy_after)
             for f in full.flips
         ] == [
-            (f.tensor, f.flat_index, f.bit, f.executed, f.loss_after,
+            (f.tensor, f.flat_index, f.bit, f.executed, f.objective_after,
              f.accuracy_after)
             for f in suffix.flips
         ]
@@ -426,3 +435,278 @@ class TestCandidateBatching:
             qmodel.flip_bit(cname, index, bit)
         qmodel.load_into_model()
         assert first == by_hand
+
+
+# ----------------------------------------------------------------------
+# The driver: one search loop, pinned to the two loops it replaced
+# ----------------------------------------------------------------------
+class DrawnSearch(BitSearch):
+    """A family built from drawn parts: direction, terms, constraint."""
+
+    def __init__(self, qmodel, dataset, config, maximize, weights=(1.0,),
+                 target=None, constraint=None):
+        super().__init__(qmodel, dataset, config)
+        self.maximize = maximize
+        x, y = self.attack_x, self.attack_y
+        terms = []
+        for position, weight in enumerate(weights):
+            labels = y[position :: len(weights)]
+            if target is not None and position == 0:
+                labels = np.full(labels.shape, target, dtype=y.dtype)
+            terms.append(SearchTerm(x[position :: len(weights)], labels, weight))
+        self.terms = tuple(terms)
+        self.constraint = constraint
+        if target is not None:
+            self.asr_inputs = dataset.test_x[dataset.test_y != target]
+            self.asr_target = target
+
+
+def _bfa_choose(qmodel, session, terms, config, visited):
+    """BFA's rank and choose as they stood before the shared driver."""
+    grads = session.objective_grads(terms)
+    per_layer: list[tuple[float, str, int, int]] = []
+    k = config.candidates_per_layer
+    for name, tensor in qmodel.tensors.items():
+        grad = grads[name]
+        if grad.size == 0:
+            continue
+        top = np.argsort(np.abs(grad))[-k:]
+        estimate = flip_loss_estimates(
+            tensor.q.reshape(-1)[top], tensor.scale, grad[top]
+        )  # positive = loss up
+        order = np.argsort(estimate.reshape(-1))[::-1]
+        taken = 0
+        for flat in order:
+            weight_pos, bit = divmod(int(flat), 8)
+            candidate = (name, int(top[weight_pos]), bit)
+            if candidate not in visited:
+                per_layer.append(
+                    (float(estimate.reshape(-1)[flat]), *candidate)
+                )
+                taken += 1
+                if taken >= config.evals_per_layer:
+                    break
+    per_layer.sort(reverse=True)
+    candidates = per_layer[: config.layers_to_evaluate]
+    losses = session.evaluate_flips(
+        terms, [(name, index, bit) for _, name, index, bit in candidates]
+    )
+    best = None
+    for (_, name, index, bit), loss in zip(candidates, losses):
+        if best is None or loss > best[3]:
+            best = (name, index, bit, loss)
+    if best is None:
+        raise RuntimeError("no flip candidates found")
+    return best
+
+
+def _tbfa_choose(qmodel, session, terms, config, visited, constraint):
+    """T-BFA's constrained rank and choose as they stood before the
+    shared driver."""
+
+    def feasible(name, index, bit):
+        if (name, index, bit) in visited:
+            return False
+        if constraint is None:
+            return True
+        current = int(
+            qmodel.tensors[name].q.reshape(-1).view(np.uint8)[index]
+            >> bit
+        ) & 1
+        return constraint(name, index, bit, current)
+
+    grads = session.objective_grads(terms)
+    per_layer: list[tuple[float, str, int, int]] = []
+    k = config.candidates_per_layer
+    for name, tensor in qmodel.tensors.items():
+        grad = grads[name]
+        if grad.size == 0:
+            continue
+        top = np.argsort(np.abs(grad))[-k:]
+        estimate = flip_loss_estimates(
+            tensor.q.reshape(-1)[top], tensor.scale, grad[top]
+        )  # negative = objective down
+        order = np.argsort(estimate.reshape(-1))
+        taken = 0
+        for flat in order:
+            weight_pos, bit = divmod(int(flat), 8)
+            index = int(top[weight_pos])
+            if feasible(name, index, bit):
+                per_layer.append(
+                    (float(estimate.reshape(-1)[flat]), name, index, bit)
+                )
+                taken += 1
+                if taken >= config.evals_per_layer:
+                    break
+    per_layer.sort()
+    candidates = per_layer[: config.layers_to_evaluate]
+    objectives = session.evaluate_flips(
+        terms, [(name, index, bit) for _, name, index, bit in candidates]
+    )
+    best = None
+    for (_, name, index, bit), objective in zip(candidates, objectives):
+        if best is None or objective < best[3]:
+            best = (name, index, bit, objective)
+    return best
+
+
+@pytest.fixture(scope="module")
+def tiny_parts():
+    data = make_dataset("tiny", 3, hw=4, train_per_class=1, test_per_class=4,
+                        seed=0)
+    return data, resnet20(num_classes=3, width=2, input_hw=4, seed=0)
+
+
+class _StubSession:
+    """Gradients and candidate values from a small set of values (ties
+    everywhere); records every candidate list it is asked to score."""
+
+    def __init__(self, qmodel, seed):
+        rng = np.random.default_rng(seed)
+        levels = np.array([-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+        self.grads = {
+            name: rng.choice(levels, size=tensor.q.size)
+            for name, tensor in qmodel.tensors.items()
+        }
+        self.seed = seed
+        self.asked: list[list] = []
+
+    def objective_grads(self, terms):
+        return {name: grad.copy() for name, grad in self.grads.items()}
+
+    def evaluate_flips(self, terms, candidates):
+        self.asked.append(list(candidates))
+        return [
+            float(zlib.crc32(f"{c}:{self.seed}".encode()) % 3)
+            for c in candidates
+        ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    maximize=st.booleans(),
+    candidates_per_layer=st.integers(1, 12),
+    evals_per_layer=st.integers(1, 6),
+    layers_to_evaluate=st.integers(0, 12),
+    visited_per_tensor=st.integers(0, 40),
+    profile=st.none() | st.tuples(st.floats(0.05, 1.0), st.integers(0, 99)),
+)
+def test_choice_equals_the_replaced_loops(
+    tiny_parts, seed, maximize, candidates_per_layer, evals_per_layer,
+    layers_to_evaluate, visited_per_tensor, profile,
+):
+    """No forward runs: the session's gradients and candidate scores
+    are stubbed, so only ranking order, feasibility and the strict
+    best-candidate rule are under test."""
+    data, model = tiny_parts
+    qmodel = QuantizedModel(model)
+    rng = np.random.default_rng(seed)
+    visited = set()
+    for name, tensor in qmodel.tensors.items():
+        tensor.q[...] = rng.integers(-128, 128, tensor.q.shape)
+        for _ in range(visited_per_tensor):
+            visited.add(
+                (name, int(rng.integers(tensor.q.size)), int(rng.integers(8)))
+            )
+    constraint = None
+    if profile is not None and not maximize:
+        constraint = HammerableProfile(*profile).feasible
+    config = SearchConfig(
+        attack_batch=4,
+        candidates_per_layer=candidates_per_layer,
+        evals_per_layer=evals_per_layer,
+        layers_to_evaluate=layers_to_evaluate,
+    )
+    search = DrawnSearch(qmodel, data, config, maximize, constraint=constraint)
+    search.visited = set(visited)
+    stub = search.session = _StubSession(qmodel, seed)
+
+    if maximize:
+        try:
+            expected = _bfa_choose(qmodel, stub, search.terms, config, visited)
+        except RuntimeError:
+            expected = None
+    else:
+        expected = _tbfa_choose(
+            qmodel, stub, search.terms, config, visited, constraint
+        )
+    chosen = search.choose()
+    oracle_asked, driver_asked = stub.asked
+    assert driver_asked == oracle_asked
+    assert chosen == (None if expected is None else expected[:3])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    maximize=st.booleans(),
+    weights=st.lists(st.floats(0.25, 2.0), min_size=1, max_size=2),
+    target=st.none() | st.integers(0, 3),
+    candidates_per_layer=st.integers(1, 4),
+    evals_per_layer=st.integers(1, 3),
+    layers_to_evaluate=st.integers(1, 4),
+    profile=st.none() | st.tuples(st.floats(0.2, 1.0), st.integers(0, 99)),
+    iterations=st.integers(2, 3),
+)
+# The backdoor's shape, which the derandomized draws miss: a
+# constrained, targeted minimiser over two weighted terms.
+@example(maximize=False, weights=[1.0, 0.5], target=0, candidates_per_layer=3,
+         evals_per_layer=2, layers_to_evaluate=3, profile=(0.5, 7),
+         iterations=3)
+def test_generated_suffix_equals_full(
+    trained_model, dataset, maximize, weights, target, candidates_per_layer,
+    evals_per_layer, layers_to_evaluate, profile, iterations,
+):
+    qmodel = QuantizedModel(trained_model)
+    snapshot = qmodel.snapshot()
+    outcomes = []
+    for engine in ("full", "suffix"):
+        qmodel.restore(snapshot)
+        config = SearchConfig(
+            attack_batch=16,
+            candidates_per_layer=candidates_per_layer,
+            evals_per_layer=evals_per_layer,
+            layers_to_evaluate=layers_to_evaluate,
+            engine=engine,
+        )
+        constraint = None
+        if profile is not None:
+            constraint = HammerableProfile(*profile).feasible
+        result = DrawnSearch(
+            qmodel, dataset, config, maximize, weights=weights, target=target,
+            constraint=constraint,
+        ).run(iterations)
+        outcomes.append((
+            [(f.tensor, f.flat_index, f.bit, f.executed, f.objective_after,
+              f.accuracy_after, f.asr_after) for f in result.flips],
+            result.objectives,
+            result.accuracies,
+            result.asr,
+        ))
+    qmodel.restore(snapshot)
+    assert outcomes[0] == outcomes[1]
+
+
+class TestNothingFeasible:
+    def test_every_family_stops_when_every_bit_is_visited(
+        self, qmodel, dataset
+    ):
+        every = {
+            (name, index, bit)
+            for name, tensor in qmodel.tensors.items()
+            for index in range(tensor.q.size)
+            for bit in range(8)
+        }
+        bfa = ProgressiveBitSearch(
+            qmodel, dataset, BFAConfig(attack_batch=32, seed=0)
+        )
+        multi = MultiRoundBFA(
+            qmodel, dataset, MultiRoundConfig(attack_batch=32, seed=0)
+        )
+        for attack in (bfa, multi):
+            attack.visited.update(every)
+            result = attack.run(3)
+            assert result.flips == [] and result.accuracies == []
+        assert [r["attempts"] for r in result.rounds] == [0, 0, 0]
