@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import memo
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
 from .hammer import HammerDriver, execute_weight_flip
 from .registry import AttackContext, register_attack
 from .search import FlipRecord, SearchResult
+from .session import SearchSession, SearchTerm
 
 __all__ = ["RandomAttack"]
 
@@ -40,6 +40,16 @@ class RandomAttack:
         self.store = store
         self.driver = driver
         self.eval_limit = eval_limit
+        # Measured through a session: a blocked flip leaves the weights
+        # as they were, so a locked run's probes are store hits, and a
+        # landed one recomputes only the layers downstream of the flip.
+        # The probe sets are sliced once, as the session keys them.
+        self.session = SearchSession(qmodel)
+        self._loss_terms = (
+            SearchTerm(dataset.test_x[:128], dataset.test_y[:128]),
+        )
+        self._eval_x = dataset.test_x[:eval_limit]
+        self._eval_y = dataset.test_y[:eval_limit]
         sizes = {name: t.q.size for name, t in qmodel.tensors.items()}
         self._names = list(sizes)
         total = sum(sizes.values())
@@ -57,17 +67,8 @@ class RandomAttack:
             )
             if self.store is not None:
                 self.store.sync_model()
-            loss = self.qmodel.model.loss(
-                self.dataset.test_x[:128], self.dataset.test_y[:128]
-            )
-            limit = self.eval_limit
-            # A blocked flip leaves the weights as they were, so a locked
-            # run's probe is a memo hit inside a matrix.
-            accuracy = memo.accuracy(
-                self.qmodel.model,
-                self.dataset.test_x[:limit],
-                self.dataset.test_y[:limit],
-            )
+            loss = self.session.objective(self._loss_terms)
+            accuracy = self.session.accuracy(self._eval_x, self._eval_y)
             result.record(
                 FlipRecord(
                     iteration=iteration,

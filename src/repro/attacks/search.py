@@ -6,7 +6,9 @@ multi-round BFA all run the same loop.  Per iteration:
 
 1. **rank** -- gradients of the objective w.r.t. the (dequantized)
    weights; inside each layer, the ``candidates_per_layer`` weights
-   with the largest ``|grad|``, and for each of their stored bits the
+   with the largest ``|grad|`` (the session's gradient leaders, read
+   from its store when the weight state was searched before), and for
+   each of their stored bits the
    *analytic* objective change ``grad * delta_w`` a flip would cause
    (``delta_w`` follows from two's-complement int8 arithmetic -- MSB
    flips move a weight by half the dynamic range).  The best
@@ -224,16 +226,16 @@ class BitSearch:
         """The best feasible (estimate, tensor, index, bit) of each
         layer, best first.  Ties keep the order of the reversed (or,
         minimising, plain) ascending argsort."""
-        grads = self.session.objective_grads(self.terms)
+        leaders = self.session.leaders(
+            self.terms, self.config.candidates_per_layer
+        )
         ranked: list[tuple[float, str, int, int]] = []
-        k = self.config.candidates_per_layer
         for name, tensor in self.qmodel.tensors.items():
-            grad = grads[name]
-            if grad.size == 0:
+            top, grad = leaders[name]
+            if top.size == 0:
                 continue
-            top = np.argsort(np.abs(grad))[-k:]
             estimate = flip_loss_estimates(
-                tensor.q.reshape(-1)[top], tensor.scale, grad[top]
+                tensor.q.reshape(-1)[top], tensor.scale, grad
             ).reshape(-1)
             order = np.argsort(estimate)
             if self.maximize:

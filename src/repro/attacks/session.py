@@ -22,7 +22,8 @@ to the per-candidate full forwards it replaces:
   result.
 * **Same-layer candidate batching** -- candidates in one layer share
   the suffix ``k+1..end``; their layer-``k`` outputs are stacked along
-  the batch axis and the suffix runs once (one GEMM per conv via
+  the batch axis, ``SUFFIX_STACK`` at a time, and the suffix runs once
+  per stack (one GEMM per conv via
   :func:`repro.nn.functional.contract`).  Per-sample GEMM results can
   drift by ulps across batch sizes for some shapes, so the batched
   path is *verified bitwise once per shape class* against the
@@ -32,11 +33,23 @@ to the per-candidate full forwards it replaces:
   top-level layer's parameters (and BatchNorm buffers) and drops
   cached activations *downstream of the first changed layer only*,
   which is how committed flips, DRAM sync collateral, and repair
-  hooks invalidate precisely.  Probes (accuracy / ASR / objective)
-  and the per-iteration objective gradients are memoized on the
-  combined digest, so unchanged weight states -- every blocked
-  campaign under DRAM-Locker -- never re-run a probe or the
-  gradient pass.
+  hooks invalidate precisely.
+* **A content-keyed store** -- the per-iteration gradient leaders
+  (:func:`gradient_leaders` of the gradient pass), each candidate
+  flip's objective value and the objective / accuracy / ASR probes are
+  pure functions of the weight state and their inputs, so each is
+  stored under four key parts: its kind, a content key of the model
+  structure and quantization scales (taken once, at construction), the
+  weight-state digest, and the content of its inputs (each input array
+  hashed once per array object).  Built inside a
+  :func:`repro.nn.memo.scope`, the session files them in that scope's
+  store, so the cells of one matrix share them: a locked cell -- every
+  campaign blocked by DRAM-Locker, its weights never leaving the
+  digest its open twin started from -- reads back what the twin
+  already searched.  Outside a scope, or for a model with no content
+  key (a ``weight_transform``), the store is the session's own.  Only
+  small values are stored: floats, and per tensor a read-only copy of
+  the leading indices and their gradients.
 * **Prefix-cached probes** -- accuracy and ASR probes read their
   argmax logits from one prefix cache per ``PREDICT_BATCH``-row chunk
   of the probe set, split exactly as ``Model.predict`` splits it, so
@@ -59,22 +72,36 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..engines import SEARCH_ENGINES as _SEARCH_ENGINES, resolve_engine
+from ..nn import memo
 from ..nn.functional import cross_entropy, cross_entropy_grad
 from ..nn.layers import Sequential, no_backward
 from ..nn.model import PREDICT_BATCH, PrefixActivationCache, iter_layers
 from ..nn.quant import QuantizedModel
 
-__all__ = ["SEARCH_ENGINES", "SearchTerm", "SessionStats", "SearchSession"]
+__all__ = [
+    "SEARCH_ENGINES",
+    "SearchTerm",
+    "SessionStats",
+    "SearchSession",
+    "gradient_leaders",
+]
 
 SEARCH_ENGINES = _SEARCH_ENGINES
 
 #: A candidate flip: ``(tensor path, flat weight index, bit)``.
 Candidate = tuple[str, int, int]
+
+#: Candidates per stacked suffix pass.  A pair is one shape class per
+#: layer, so it is certified once per session and reused whenever that
+#: layer scores two or more candidates again.  On the quick ResNet-20
+#: every pair certified, while stacks of three and five failed at
+#: layers 7 and 10 and fell back to per-candidate suffixes.
+SUFFIX_STACK = 2
 
 
 class SearchTerm(NamedTuple):
@@ -85,14 +112,35 @@ class SearchTerm(NamedTuple):
     weight: float = 1.0
 
 
+#: Per tensor: the leading flat indices by ``|grad|`` and their gradients.
+Leaders = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def gradient_leaders(grads: dict[str, np.ndarray], k: int) -> Leaders:
+    """Per tensor, the ``k`` flat indices of largest ``|grad|`` in the
+    order of ``np.argsort(np.abs(grad))[-k:]`` (ties follow it), with
+    their gradients.  Both are read-only copies, so a stored value
+    keeps neither the argsort nor the full gradient alive."""
+    leaders = {}
+    for name, grad in grads.items():
+        top = np.argsort(np.abs(grad))[-k:].copy()
+        values = grad[top]
+        top.flags.writeable = values.flags.writeable = False
+        leaders[name] = (top, values)
+    return leaders
+
+
 @dataclass
 class SessionStats:
     """Work counters -- what the engine actually saved."""
 
+    #: Candidates asked for; ``candidate_hits`` of them came from the store.
     candidate_evals: int = 0
+    candidate_hits: int = 0
     suffix_batches: int = 0
     probe_hits: int = 0
     probe_misses: int = 0
+    #: Gradient-leader lookups.
     grad_hits: int = 0
     grad_misses: int = 0
 
@@ -122,11 +170,25 @@ class SearchSession:
         # Probe-set chunk views, made once: caches are keyed by id, so
         # fresh views on every probe would never hit one.
         self._chunks: dict[int, list[np.ndarray]] = {}
-        self._probes: dict[tuple, Any] = {}
-        self._grads_memo: tuple | None = None
+        # Content keys of input arrays, by id; each entry holds its
+        # array, so the id cannot be reused while the key is kept.
+        self._array_keys: dict[int, tuple[np.ndarray, str | None]] = {}
         self._batch_ok: dict[tuple, bool] = {}
         self._layer_digests: dict[int, bytes] = {}
         self._digest: bytes | None = None
+        self._structure: str | None = None
+        self._store: dict = {}
+        if self.engine == "suffix":
+            # Model structure and scales; the weights it also sees are
+            # a harmless extra key part.  No key (a weight_transform):
+            # the session keeps its own store and shares nothing.
+            self._structure = memo.content_key(
+                self.model,
+                [(name, tensor.scale) for name, tensor in qmodel.tensors.items()],
+            )
+            shared = memo.active()
+            if self._structure is not None and shared is not None:
+                self._store = shared
 
     # ------------------------------------------------------------------
     # Weight-state digests and cache invalidation
@@ -180,6 +242,39 @@ class SearchSession:
         return cache
 
     # ------------------------------------------------------------------
+    # The content-keyed store
+    # ------------------------------------------------------------------
+    def _prefix(self, *parts) -> tuple | None:
+        """What every stored value is keyed by besides its kind and its
+        own item: the structure key, the current weight-state digest and
+        the content key of ``parts`` -- every input the value reads
+        besides the weights, each array hashed once per array object.
+        ``None`` (nothing is stored) when an input has no content
+        encoding."""
+        encoded = []
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                held = self._array_keys.get(id(part))
+                if held is None:
+                    held = (part, memo.content_key(part))
+                    self._array_keys[id(part)] = held
+                if held[1] is None:
+                    return None
+                part = ("array", held[1])
+            encoded.append(part)
+        inputs = memo.content_key(encoded)
+        if inputs is None:
+            return None
+        return (self._structure, self._digest, inputs)
+
+    @staticmethod
+    def _terms_parts(terms: Sequence) -> list:
+        """Every input an objective reads besides the weights."""
+        return [
+            part for term in terms for part in (term.x, term.labels, term.weight)
+        ]
+
+    # ------------------------------------------------------------------
     # Objective and gradients
     # ------------------------------------------------------------------
     def _full_objective(self, terms: Sequence) -> float:
@@ -188,13 +283,14 @@ class SearchSession:
             for term in terms
         )
 
-    def objective(self, terms: Sequence, key: str = "objective") -> float:
+    def objective(self, terms: Sequence) -> float:
         """``sum(term.weight * CE(term.x))`` under the current weights,
-        served from cached logits and memoized on the state digest."""
+        served from cached logits through the store."""
         if self.engine != "suffix":
             return self._full_objective(terms)
         return self.probe(
-            key,
+            "objective",
+            self._terms_parts(terms),
             lambda: sum(
                 term.weight
                 * cross_entropy(self._cache_for(term.x).logits(), term.labels)
@@ -220,20 +316,9 @@ class SearchSession:
         return loss
 
     def objective_grads(self, terms: Sequence) -> dict[str, np.ndarray]:
-        """d(objective)/d(weight) per quantized tensor, flattened.
-
-        Memoized on the weight-state digest: a blocked campaign leaves
-        the weights untouched, so the next iteration's gradient pass
-        would recompute identical values.
-        """
-        if self.engine == "suffix":
-            self.refresh()
-            terms_key = tuple(id(term) for term in terms)
-            memo = self._grads_memo
-            if memo is not None and memo[0] == (self._digest, terms_key):
-                self.stats.grad_hits += 1
-                return {name: grad.copy() for name, grad in memo[1].items()}
-            self.stats.grad_misses += 1
+        """d(objective)/d(weight) per quantized tensor, flattened: the
+        gradient pass, which also refills the prefix caches.  Not
+        memoized -- :meth:`leaders` stores its small reduction."""
         model = self.model
         layers = model.weight_layers()
         grads: dict[str, np.ndarray] | None = None
@@ -251,12 +336,28 @@ class SearchSession:
                         term.weight * layers[name].weight.grad.reshape(-1)
                     )
         assert grads is not None
-        if self.engine == "suffix":
-            self._grads_memo = (
-                (self._digest, terms_key),
-                {name: grad.copy() for name, grad in grads.items()},
-            )
         return grads
+
+    def leaders(self, terms: Sequence, k: int) -> Leaders:
+        """:func:`gradient_leaders` of the objective's gradients, through
+        the store: a blocked campaign leaves the weights untouched, so
+        the next iteration -- or a locked twin cell -- would recompute
+        identical values."""
+        if self.engine != "suffix":
+            return gradient_leaders(self.objective_grads(terms), k)
+        self.refresh()
+        (value,), computed = memo.memoized_many(
+            "leaders",
+            self._prefix(*self._terms_parts(terms)),
+            [k],
+            lambda _: [gradient_leaders(self.objective_grads(terms), k)],
+            self._store,
+        )
+        if computed:
+            self.stats.grad_misses += 1
+        else:
+            self.stats.grad_hits += 1
+        return dict(value)
 
     # ------------------------------------------------------------------
     # Candidate evaluation
@@ -268,40 +369,46 @@ class SearchSession:
     def _suffix_logits(
         self, start: int, outs: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """Logits for each perturbed layer output, through one stacked
-        suffix pass when that is verified bit-identical for this shape
-        class, else through per-candidate suffixes."""
+        """Logits for each perturbed layer output, ``SUFFIX_STACK`` at a
+        time: through one stacked suffix pass when that is verified
+        bit-identical for the stack's shape class, else through
+        per-candidate suffixes."""
         net = self.model.net
-        if len(outs) == 1:
-            return [net.forward_from(outs[0], start)]
-        key = (start, outs[0].shape, len(outs))
-        ok = self._batch_ok.get(key)
-        if ok:
-            self.stats.suffix_batches += 1
-            per_candidate = outs[0].shape[0]
-            logits = net.forward_from(np.concatenate(outs, axis=0), start)
-            return [
-                logits[i * per_candidate : (i + 1) * per_candidate]
-                for i in range(len(outs))
-            ]
-        reference = [net.forward_from(a, start) for a in outs]
-        if ok is None:
-            per_candidate = outs[0].shape[0]
-            logits = net.forward_from(np.concatenate(outs, axis=0), start)
-            batched = [
-                logits[i * per_candidate : (i + 1) * per_candidate]
-                for i in range(len(outs))
-            ]
-            self._batch_ok[key] = all(
-                np.array_equal(b, r) for b, r in zip(batched, reference)
-            )
-        return reference
+        logits: list[np.ndarray] = []
+        for first in range(0, len(outs), SUFFIX_STACK):
+            stack = outs[first : first + SUFFIX_STACK]
+            if len(stack) == 1:
+                logits.append(net.forward_from(stack[0], start))
+                continue
+            key = (start, stack[0].shape, len(stack))
+            ok = self._batch_ok.get(key)
+            if ok:
+                self.stats.suffix_batches += 1
+                logits.extend(self._stacked_suffix(start, stack))
+                continue
+            reference = [net.forward_from(a, start) for a in stack]
+            if ok is None:
+                self._batch_ok[key] = all(
+                    np.array_equal(b, r)
+                    for b, r in zip(self._stacked_suffix(start, stack), reference)
+                )
+            logits.extend(reference)
+        return logits
+
+    def _stacked_suffix(
+        self, start: int, stack: list[np.ndarray]
+    ) -> list[np.ndarray]:
+        """One suffix pass over ``stack`` concatenated along the batch
+        axis, split back per candidate."""
+        batched = self.model.net.forward_from(np.concatenate(stack), start)
+        return np.split(batched, len(stack))
 
     def evaluate_flips(
         self, terms: Sequence, candidates: Sequence[Candidate]
     ) -> list[float]:
         """Objective value each candidate flip would produce, in input
-        order -- bit-identical to flip -> full forward -> revert."""
+        order -- bit-identical to flip -> full forward -> revert.  Only
+        the candidates the store lacks are scored."""
         self.stats.candidate_evals += len(candidates)
         if self.engine != "suffix":
             losses = []
@@ -319,6 +426,21 @@ class SearchSession:
         # front; refresh() then rebuilds exactly the prefixes it moved.
         self.qmodel.load_into_model()
         self.refresh()
+        values, computed = memo.memoized_many(
+            "candidate",
+            self._prefix(*self._terms_parts(terms)),
+            [tuple(candidate) for candidate in candidates],
+            lambda missing: self._score_flips(terms, missing),
+            self._store,
+        )
+        self.stats.candidate_hits += len(candidates) - computed
+        return values
+
+    def _score_flips(
+        self, terms: Sequence, candidates: Sequence[Candidate]
+    ) -> list[float]:
+        """The suffix path of :meth:`evaluate_flips`: same-layer
+        candidates share (verified) stacked suffixes per term."""
         per_term = [[0.0] * len(candidates) for _ in terms]
         groups: dict[int, list[int]] = {}
         for position, (name, _, _) in enumerate(candidates):
@@ -354,20 +476,24 @@ class SearchSession:
     # ------------------------------------------------------------------
     # Memoized probes
     # ------------------------------------------------------------------
-    def probe(self, key: str, compute: Callable[[], Any]) -> Any:
-        """Memoize ``compute()`` on the current weight-state digest.
-        Callers guarantee one ``key`` always names the same computation
-        over the same inputs."""
+    def probe(
+        self, name: str, inputs: Sequence, compute: Callable[[], float]
+    ) -> float:
+        """``compute()`` through the store, keyed by the probe's
+        ``name``, the weight state and the content of ``inputs`` --
+        every array and scalar it reads besides the weights."""
         if self.engine != "suffix":
             return compute()
         self.refresh()
-        memo_key = (key, self._digest)
-        if memo_key not in self._probes:
+        (value,), computed = memo.memoized_many(
+            "probe", self._prefix(name, *inputs), [None],
+            lambda _: [compute()], self._store,
+        )
+        if computed:
             self.stats.probe_misses += 1
-            self._probes[memo_key] = compute()
         else:
             self.stats.probe_hits += 1
-        return self._probes[memo_key]
+        return value
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
         """``model.predict(x)``, bit for bit; the suffix engine reads
@@ -384,19 +510,19 @@ class SearchSession:
             [np.argmax(self._cache_for(chunk).logits(), axis=1) for chunk in chunks]
         )
 
-    def accuracy(
-        self, x: np.ndarray, labels: np.ndarray, key: str = "accuracy"
-    ) -> float:
-        """Digest-memoized ``model.accuracy`` over a fixed probe set."""
+    def accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Memoized ``model.accuracy`` over a fixed probe set."""
         return self.probe(
-            key, lambda: float(100.0 * (self._predict(x) == labels).mean())
+            "accuracy",
+            (x, labels),
+            lambda: float(100.0 * (self._predict(x) == labels).mean()),
         )
 
-    def success_rate(
-        self, x: np.ndarray, target: int, key: str = "asr"
-    ) -> float:
-        """Digest-memoized attack success rate: percent of ``x``
-        classified as ``target``."""
+    def success_rate(self, x: np.ndarray, target: int) -> float:
+        """Memoized attack success rate: percent of ``x`` classified as
+        ``target``."""
         return self.probe(
-            key, lambda: float(100.0 * (self._predict(x) == target).mean())
+            "asr",
+            (x, target),
+            lambda: float(100.0 * (self._predict(x) == target).mean()),
         )

@@ -1,11 +1,15 @@
-"""Matrix-scoped memo of a victim's clean-state work.
+"""Matrix-scoped memo of a victim's clean-state and search work.
 
 Every cell of an attack matrix attacks the same victim, and each one
 used to redo that victim's clean-state work: synthesise its dataset,
 measure its clean accuracy, train the backdoor trigger.  Inside a
 :func:`scope` that work runs once per content key and later calls
 return the stored value.  A hit returns exactly what a fresh
-computation returns, so every payload is unchanged.
+computation returns, so every payload is unchanged.  A
+:class:`~repro.attacks.session.SearchSession` built inside a scope keeps
+that scope's store (:func:`active`) and files its gradient leaders,
+candidate values and probes there through :func:`memoized_many`, so a
+locked cell reads what its open twin already searched.
 
 The rules (``tests/test_memo.py`` pins them):
 
@@ -17,10 +21,13 @@ The rules (``tests/test_memo.py`` pins them):
   and are skipped.  An input with no content encoding (a layer's
   ``weight_transform`` function) makes the key ``None``, and the work
   is computed.
-* **Values are immutable**: floats, read-only arrays, or records whose
-  caller hands out a fresh object per call (``make_dataset``).
+* **Values are immutable and small**: floats, read-only arrays, or
+  records whose caller hands out a fresh object per call
+  (``make_dataset``, a session's gradient leaders).
 * **Lifetime**: one memo per ``run_matrix`` call, in each process that
-  runs its cells.  Outside a scope nothing is stored.  A process-wide
+  runs its cells.  Outside a scope nothing is shared: the clean-state
+  kinds are computed every time, and a search session keeps a store of
+  its own that lives and dies with it.  A process-wide
   memo would let a second pass over the same matrix skip work the
   first pass did, so two passes would no longer run the same program.
 * **Counts** live in :data:`STATS`, a plain object, not in
@@ -35,7 +42,7 @@ import hashlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,8 +53,10 @@ __all__ = [
     "MemoStats",
     "STATS",
     "accuracy",
+    "active",
     "content_key",
     "memoized",
+    "memoized_many",
     "restart",
     "scope",
 ]
@@ -58,8 +67,10 @@ T = TypeVar("T")
 @dataclass
 class MemoStats:
     """Work counters by kind (``"dataset"``, ``"accuracy"``,
-    ``"trigger"``): ``computed`` counts every computation, inside a
-    scope or not; ``hits`` counts values served from a memo."""
+    ``"trigger"``, and a search session's ``"leaders"``,
+    ``"candidate"`` and ``"probe"``): ``computed`` counts every
+    computation, inside a scope or not; ``hits`` counts values served
+    from a memo."""
 
     computed: Counter = field(default_factory=Counter)
     hits: Counter = field(default_factory=Counter)
@@ -68,7 +79,7 @@ class MemoStats:
 #: Cumulative for the process; read it by differences.
 STATS = MemoStats()
 
-_active: dict[tuple[str, str], Any] | None = None
+_active: dict[tuple[str, Any, Any], Any] | None = None
 
 
 @contextmanager
@@ -90,6 +101,13 @@ def restart() -> None:
     where the previous matrix ended."""
     global _active
     _active = {}
+
+
+def active() -> dict | None:
+    """The active scope's store, ``None`` outside a scope.  An object
+    that does memoized work over its own lifetime keeps the store it
+    was built in and passes it to :func:`memoized_many`."""
+    return _active
 
 
 class _Unkeyable(Exception):
@@ -150,20 +168,46 @@ def memoized(
 
     ``key`` is only called inside a scope, so work outside a matrix
     pays no hashing."""
-    memo = _active
-    entry = None
-    if memo is not None:
-        digest = key()
-        if digest is not None:
-            entry = (kind, digest)
-            if entry in memo:
-                STATS.hits[kind] += 1
-                return memo[entry]
-    value = compute()
-    STATS.computed[kind] += 1
-    if entry is not None:
-        memo[entry] = value
+    store = _active
+    digest = key() if store is not None else None
+    (value,), _ = memoized_many(
+        kind, digest, [None], lambda _: [compute()], store
+    )
     return value
+
+
+def memoized_many(
+    kind: str,
+    prefix: Hashable | None,
+    items: Sequence[Hashable],
+    compute_missing: Callable[[list], Sequence[T]],
+    store: dict | None,
+) -> tuple[list[T], int]:
+    """One value per item, in order, and how many were computed.
+
+    Each value is filed under ``(kind, prefix, item)``.  Items found in
+    ``store`` are read back; the others are computed by a single
+    ``compute_missing(missing items)`` call -- each distinct item once,
+    in first-seen order -- and stored.  A ``None`` store, or a ``None``
+    prefix (an input with no content encoding), stores nothing."""
+    if prefix is None:
+        store = None
+    values = {}
+    missing = []
+    for item in dict.fromkeys(items):  # the distinct items, first seen first
+        entry = (kind, prefix, item)
+        if store is not None and entry in store:
+            values[item] = store[entry]
+        else:
+            missing.append(item)
+    if missing:
+        for item, value in zip(missing, compute_missing(missing), strict=True):
+            values[item] = value
+            if store is not None:
+                store[(kind, prefix, item)] = value
+        STATS.computed[kind] += len(missing)
+    STATS.hits[kind] += len(items) - len(missing)
+    return [values[item] for item in items], len(missing)
 
 
 def accuracy(model: Model, x: np.ndarray, labels: np.ndarray) -> float:

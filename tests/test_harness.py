@@ -145,6 +145,14 @@ TINY_ATTACKS = attack_scenarios(
     attacks=("backdoor", "bfa"),
 )
 
+#: BFA and multi-round BFA, open and locked, at two iterations: multi-
+#: round BFA spends both on fresh targets, as BFA does.
+BFA_REPLAY = attack_scenarios(
+    Scale(input_hw=8, resnet_width=4, epochs=1, attack_batch=16),
+    iterations=2,
+    attacks=("bfa", "multi-round-bfa"),
+)
+
 
 def _payloads(results):
     assert all(result.ok for result in results), [r.error for r in results]
@@ -161,7 +169,9 @@ def _memo_probe(scale, seed):
 class TestMatrixMemo:
     """The cells of one matrix share their victim's clean-state work,
     pinned by counts: one dataset, one clean accuracy and one trigger
-    per matrix, none shared across matrices or by lone cells."""
+    per matrix, none shared across matrices or by lone cells; and the
+    search sessions share gradient leaders, candidate values and
+    probes."""
 
     @staticmethod
     def _counted(run):
@@ -175,8 +185,14 @@ class TestMatrixMemo:
         )
 
     def test_matrix_computes_clean_state_once(self):
-        once = {"dataset": 1, "accuracy": 1, "trigger": 1}
-        shared = {"dataset": 3, "accuracy": 3, "trigger": 1}
+        # Search work: each open cell computes its leaders, six
+        # candidates and its post-flip probes; its locked twin reads
+        # the leaders and candidates back and computes only its
+        # clean-state probes (bfa-locked's accuracy is backdoor-locked's).
+        once = {"dataset": 1, "accuracy": 1, "trigger": 1,
+                "leaders": 2, "candidate": 12, "probe": 9}
+        shared = {"dataset": 3, "accuracy": 3, "trigger": 1,
+                  "leaders": 2, "candidate": 12, "probe": 1}
         first, computed, hits = self._counted(
             lambda: run_matrix(TINY_ATTACKS, workers=1)
         )
@@ -189,11 +205,44 @@ class TestMatrixMemo:
         alone, computed, hits = self._counted(
             lambda: [run_scenario(scenario) for scenario in TINY_ATTACKS]
         )
-        assert (computed, hits) == ({"dataset": 4, "accuracy": 4, "trigger": 2}, {})
+        assert (computed, hits) == (
+            {"dataset": 4, "accuracy": 4, "trigger": 2,
+             "leaders": 4, "candidate": 24, "probe": 10},
+            {},
+        )
         parallel = run_matrix(TINY_ATTACKS, workers=2)
         expected = _payloads(alone)
         for matrix in (first, second, parallel):
             assert _payloads(matrix.results) == expected
+
+    def test_locked_and_repeated_cells_reuse_the_search(self):
+        """Locked cells never leave the clean weight state their open
+        twin started from, and multi-round BFA's fresh targets are
+        BFA's: those cells run no gradient pass.  Only bfa-locked
+        scores a candidate -- its second, blocked iteration ranks one
+        in place of the first target, which the open twin never scored
+        at the clean state."""
+        computed_by_cell = {}
+        before = [Counter(memo.STATS.computed)]
+
+        def record(result):
+            now = Counter(memo.STATS.computed)
+            computed_by_cell[result.name] = now - before[0]
+            before[0] = now
+
+        serial = run_matrix(BFA_REPLAY, workers=1, on_result=record)
+        search = {
+            name: (computed["leaders"], computed["candidate"])
+            for name, computed in computed_by_cell.items()
+        }
+        assert search == {
+            "attack-bfa-open": (2, 12),
+            "attack-bfa-locked": (0, 1),
+            "attack-multi-round-bfa-open": (0, 0),
+            "attack-multi-round-bfa-locked": (0, 0),
+        }
+        parallel = run_matrix(BFA_REPLAY, workers=2)
+        assert _payloads(parallel.results) == _payloads(serial.results)
 
     def test_worker_memo_lives_for_one_matrix(self, monkeypatch):
         """On a reused pool, each worker computes once per matrix (its

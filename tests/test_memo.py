@@ -2,12 +2,14 @@
 
 :mod:`repro.nn.memo` shares a victim's clean-state work -- dataset
 synthesis, clean accuracy, backdoor trigger training -- across the
-cells of one matrix.  A hit must equal what a fresh computation
-returns bit for bit, so the key must change whenever any input the
-work reads changes: weights, BatchNorm buffers, layer structure, the
-probe, the labels, the attack batch, the initial patch and every
-trigger config field.  Outside a scope nothing is stored.  Run-level
-reuse counts live in ``tests/test_harness.py``.
+cells of one matrix, and a search session's gradient leaders,
+candidate values and probes.  A hit must equal what a fresh
+computation returns bit for bit, so the key must change whenever any
+input the work reads changes: weights, BatchNorm buffers, layer
+structure, quantization scales, the probe, the labels, the term
+weights, the attack batch, the initial patch, every trigger config
+field, ``k`` and the candidate.  Outside a scope nothing is shared.
+Run-level reuse counts live in ``tests/test_harness.py``.
 """
 
 from collections import Counter
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import SearchSession, SearchTerm
 from repro.attacks.backdoor import BackdoorConfig, RowhammerBackdoor
 from repro.nn import (
     BatchNorm2d,
@@ -262,6 +265,207 @@ def test_unkeyable_model_is_computed_every_time():
 
 
 # ----------------------------------------------------------------------
+# Search sessions: leaders, candidate values and probes
+# ----------------------------------------------------------------------
+SEARCH_KINDS = ("leaders", "candidate", "probe")
+
+
+def _search_inputs(dataset, weights=(1.0, 0.5)):
+    x, y = dataset.test_x, dataset.test_y
+    terms = tuple(
+        SearchTerm(x[i::2], y[i::2], weight) for i, weight in enumerate(weights)
+    )
+    return {"terms": terms, "k": 2, "target": 0, "x": x, "labels": y}
+
+
+def _pool(qmodel):
+    """Candidates in three tensors, two weights each, two bits each."""
+    names = sorted(qmodel.tensors)
+    return [
+        (name, index, bit)
+        for name in (names[0], names[len(names) // 2], names[-1])
+        for index in (0, 1)
+        for bit in (0, 7)
+    ]
+
+
+def _measure(session, inputs, candidates):
+    """Every search value in a comparable form: leader bytes, candidate
+    value bytes and probe reprs."""
+    terms = inputs["terms"]
+    leaders = session.leaders(terms, inputs["k"])
+    return (
+        sorted(
+            (name, top.tobytes(), values.tobytes())
+            for name, (top, values) in leaders.items()
+        ),
+        np.array(session.evaluate_flips(terms, candidates)).tobytes(),
+        repr(session.objective(terms)),
+        repr(session.accuracy(inputs["x"], inputs["labels"])),
+        repr(session.success_rate(inputs["x"], inputs["target"])),
+    )
+
+
+def _fresh(qmodel, inputs, candidates):
+    """The values a brand-new session computes outside any scope."""
+    assert memo.active() is None
+    return _measure(SearchSession(qmodel), inputs, candidates)
+
+
+_STEP = st.tuples(
+    st.lists(st.integers(0, 11), max_size=4),  # candidates, repeats allowed
+    st.integers(1, 3),  # k
+    st.none() | st.integers(0, 11),  # blocked, or the flip that lands
+)
+
+
+@settings(GENERATED, max_examples=15)
+@given(
+    runs=st.lists(st.lists(_STEP, min_size=1, max_size=3), min_size=2,
+                  max_size=2),
+    weight=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_search_hits_equal_fresh(runs, weight):
+    """Two sessions of one scope -- two cells of a matrix -- run drawn
+    candidate lists over blocked or landed flip sequences from the same
+    clean state; every value equals a fresh session's outside a scope."""
+    qmodel, dataset = _qmodel(), _dataset()
+    pool = _pool(qmodel)
+    inputs = _search_inputs(dataset, (1.0, weight))
+    clean = qmodel.snapshot()
+    seen = []
+    counts = Counts()
+    with memo.scope():
+        for run in runs:
+            qmodel.restore(clean)
+            session = SearchSession(qmodel)
+            for positions, k, landed in run:
+                candidates = [pool[p] for p in positions]
+                step_inputs = dict(inputs, k=k)
+                seen.append((
+                    qmodel.snapshot(), step_inputs, candidates,
+                    _measure(session, step_inputs, candidates),
+                ))
+                if landed is not None:
+                    qmodel.flip_bit(*pool[landed])
+    assert counts.since("probe")[1] > 0  # the second cell hit the first's
+    for snapshot, step_inputs, candidates, values in seen:
+        qmodel.restore(snapshot)
+        assert values == _fresh(qmodel, step_inputs, candidates)
+
+
+def _perturb_weight(qmodel, inputs, pick):
+    _flip_weight_bit(qmodel, pick)
+
+
+def _perturb_bn(qmodel, inputs, pick):
+    _bn_stat(qmodel, None, None, pick)
+
+
+def _perturb_label(qmodel, inputs, pick):
+    first, *rest = inputs["terms"]
+    labels = first.labels.copy()
+    labels[pick % labels.size] = (labels[pick % labels.size] + 1) % 3
+    inputs["terms"] = (first._replace(labels=labels), *rest)
+
+
+def _perturb_term_weight(qmodel, inputs, pick):
+    first, *rest = inputs["terms"]
+    inputs["terms"] = (first._replace(weight=first.weight + 0.25), *rest)
+
+
+def _perturb_target(qmodel, inputs, pick):
+    inputs["target"] = 1 + pick % 2
+
+
+def _perturb_k(qmodel, inputs, pick):
+    inputs["k"] += 1 + pick % 3
+
+
+def _perturb_bit(qmodel, inputs, pick):
+    name, index, bit = inputs["candidates"][0]
+    taken = set(inputs["candidates"])
+    bit = next(b for b in range(8) if (name, index, b) not in taken)
+    inputs["candidates"] = [(name, index, bit), *inputs["candidates"][1:]]
+
+
+def _perturb_scale(qmodel, inputs, pick):
+    # Only the scale: the float weights are not reloaded.
+    name = sorted(qmodel.tensors)[pick % len(qmodel.tensors)]
+    tensor = qmodel.tensors[name]
+    tensor.scale = float(np.nextafter(tensor.scale, np.inf))
+
+
+#: Perturbation -> computations a second session must redo, by kind
+#: (leaders, candidates, probes).  Three candidates; three probes:
+#: objective, accuracy, ASR.
+SEARCH_PERTURBATIONS = {
+    _perturb_weight: (1, 3, 3),
+    _perturb_bn: (1, 3, 3),
+    _perturb_label: (1, 3, 1),
+    _perturb_term_weight: (1, 3, 1),
+    _perturb_target: (0, 0, 1),
+    _perturb_k: (1, 0, 0),
+    _perturb_bit: (0, 1, 0),
+    _perturb_scale: (1, 3, 3),
+}
+
+
+@pytest.mark.parametrize("perturb", list(SEARCH_PERTURBATIONS))
+@settings(GENERATED, max_examples=2)
+@given(pick=st.integers(0, 2**20))
+def test_perturbed_search_key_misses(perturb, pick):
+    """The first session is the open cell; the second is built in the
+    same scope -- before the perturbation, except for the scale, which
+    the session reads once, at construction."""
+    qmodel, dataset = _qmodel(), _dataset()
+    inputs = _search_inputs(dataset)
+    inputs["candidates"] = _pool(qmodel)[pick % 4 :: 4]
+    with memo.scope():
+        _measure(SearchSession(qmodel), inputs, inputs["candidates"])
+        second = None if perturb is _perturb_scale else SearchSession(qmodel)
+        perturb(qmodel, inputs, pick)
+        second = second or SearchSession(qmodel)
+        counts = Counts()
+        values = _measure(second, inputs, inputs["candidates"])
+        computed = tuple(counts.since(kind)[0] for kind in SEARCH_KINDS)
+    assert computed == SEARCH_PERTURBATIONS[perturb]
+    assert values == _fresh(qmodel, inputs, inputs["candidates"])
+
+
+def test_stored_leaders_are_read_only():
+    qmodel, dataset = _qmodel(), _dataset()
+    inputs = _search_inputs(dataset)
+    with memo.scope():
+        for _ in range(2):  # a miss, then a hit
+            leaders = SearchSession(qmodel).leaders(inputs["terms"], 2)
+            top, values = leaders[sorted(leaders)[0]]
+            with pytest.raises(ValueError):
+                top[0] = 0
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            # Clearing the handed-out dict leaves the stored value whole.
+            leaders.clear()
+
+
+def test_unkeyable_model_memoizes_within_its_session_only():
+    qmodel, dataset = _qmodel(), _dataset()
+    qmodel.model.net.layers[0].weight_transform = np.sign
+    inputs = _search_inputs(dataset)
+    candidates = _pool(qmodel)[:3]
+    counts = Counts()
+    with memo.scope():
+        for _ in range(2):  # two cells: nothing shared between them
+            session = SearchSession(qmodel)
+            for _ in range(2):  # ...but the second look in one is a hit
+                _measure(session, inputs, candidates)
+        assert not any(kind in SEARCH_KINDS for kind, *_ in memo.active())
+    assert [counts.since(kind) for kind in SEARCH_KINDS] == [
+        (2, 2), (6, 6), (6, 6)
+    ]
+
+
+# ----------------------------------------------------------------------
 # Lifetime, immutability, side effects
 # ----------------------------------------------------------------------
 def test_outside_a_scope_every_call_computes():
@@ -275,6 +479,32 @@ def test_outside_a_scope_every_call_computes():
     assert counts.since("dataset") == (2, 0)
     assert counts.since("accuracy") == (2, 0)
     assert counts.since("trigger") == (2, 0)
+
+
+def test_batch_lookup_computes_each_distinct_miss_once():
+    store, calls = {}, []
+
+    def compute(missing):
+        calls.append(list(missing))
+        return [item * 10 for item in missing]
+
+    counts = Counts()
+    assert memo.memoized_many("probe", "p", [3, 1, 3], compute, store) == (
+        [30, 10, 30], 2
+    )
+    assert memo.memoized_many("probe", "p", [1, 2], compute, store) == (
+        [10, 20], 1
+    )
+    assert calls == [[3, 1], [2]]
+    assert counts.since("probe") == (3, 2)
+    # Another prefix or kind reads nothing filed here; a None prefix
+    # (an input with no content key) or a None store files nothing.
+    assert memo.memoized_many("probe", "q", [1], compute, store)[1] == 1
+    assert memo.memoized_many("leaders", "p", [1], compute, store)[1] == 1
+    filed = dict(store)
+    assert memo.memoized_many("probe", None, [5], compute, store)[1] == 1
+    assert memo.memoized_many("probe", "p", [5], compute, None)[1] == 1
+    assert store == filed
 
 
 def test_scope_ends_with_its_block():

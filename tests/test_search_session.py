@@ -2,7 +2,8 @@
 against the full-forward reference for every bit-search family (hand
 picked, then generated over the shared driver), the driver's ranking
 against the two loops it replaced, plus the prefix-activation-cache
-invalidation contract and the digest memoization of probes/gradients."""
+invalidation contract and the content-keyed memoization of probes,
+gradient leaders and candidate values."""
 
 import zlib
 
@@ -28,6 +29,7 @@ from repro.attacks import (
     TBFAttack,
 )
 from repro.attacks.search import flip_loss_estimates
+from repro.attacks.session import SUFFIX_STACK, gradient_leaders
 from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.locker import DRAMLocker, LockMode, LockerConfig
@@ -393,14 +395,54 @@ class TestProbeMemoization:
     def test_gradients_memoize_on_digest(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="suffix")
         terms = (SearchTerm(dataset.test_x[:8], dataset.test_y[:8]),)
-        first = session.objective_grads(terms)
-        second = session.objective_grads(terms)
+        first = session.leaders(terms, 10)
+        second = session.leaders(terms, 10)
         assert session.stats.grad_hits == 1
-        assert all(np.array_equal(first[n], second[n]) for n in first)
+        assert all(
+            np.array_equal(first[n][0], second[n][0])
+            and np.array_equal(first[n][1], second[n][1])
+            for n in first
+        )
         name = next(iter(qmodel.tensors))
         qmodel.flip_bit(name, 0, 7)
-        session.objective_grads(terms)
+        session.leaders(terms, 10)
         assert session.stats.grad_misses == 2
+
+    def test_another_objective_at_the_same_weights_recomputes(
+        self, qmodel, dataset
+    ):
+        """Values are keyed by the content of their inputs, so a second
+        objective at unchanged weights is not served the first's."""
+        x = dataset.test_x[:8]
+        y = dataset.test_y[:8]
+        y2 = (y + 1) % dataset.num_classes
+        suffix = SearchSession(qmodel, engine="suffix")
+        full = SearchSession(qmodel, engine="full")
+        suffix.objective((SearchTerm(x, y),))
+        second = (SearchTerm(x, y2),)
+        assert suffix.objective(second) == full.objective(second)
+        assert suffix.stats.probe_misses == 2
+
+    def test_fresh_terms_get_their_own_gradients(self, qmodel, dataset):
+        x = dataset.test_x[:8]
+        y = dataset.test_y[:8]
+        suffix = SearchSession(qmodel, engine="suffix")
+        full = SearchSession(qmodel, engine="full")
+        suffix.leaders((SearchTerm(x, y),), 10)
+        for shift in (1, 2):
+            labels = (y + shift) % dataset.num_classes
+            terms = (SearchTerm(x, labels),)
+            grads = full.objective_grads(terms)
+            assert all(
+                np.array_equal(got, grads[name])
+                for name, got in suffix.objective_grads(terms).items()
+            )
+            expected = gradient_leaders(grads, 10)
+            leaders = suffix.leaders(terms, 10)
+            for name, (top, values) in expected.items():
+                assert np.array_equal(leaders[name][0], top)
+                assert np.array_equal(leaders[name][1], values)
+        assert (suffix.stats.grad_hits, suffix.stats.grad_misses) == (0, 3)
 
     def test_full_engine_never_memoizes(self, qmodel, dataset):
         session = SearchSession(qmodel, engine="full")
@@ -435,6 +477,27 @@ class TestCandidateBatching:
             qmodel.flip_bit(cname, index, bit)
         qmodel.load_into_model()
         assert first == by_hand
+
+    def test_a_layer_stacks_in_pairs(self, qmodel, dataset):
+        """Groups of any size stack two at a time, so a layer has one
+        shape class: adjudicated by its first pair, reused after."""
+        session = SearchSession(qmodel, engine="suffix")
+        terms = (SearchTerm(dataset.test_x, dataset.test_y),)
+        name = next(iter(qmodel.tensors))
+        candidates = [(name, i, 7) for i in range(8)]
+        values = session.evaluate_flips(terms, candidates[:5])
+        values += session.evaluate_flips(terms, candidates[5:])
+        ((key, ok),) = session._batch_ok.items()
+        assert key[2] == SUFFIX_STACK == 2
+        # 5 = certifying pair + pair + single; 3 = pair + single.
+        assert session.stats.suffix_batches == (2 if ok else 0)
+        by_hand = []
+        for cname, index, bit in candidates:
+            qmodel.flip_bit(cname, index, bit)
+            by_hand.append(qmodel.model.loss(terms[0].x, terms[0].labels))
+            qmodel.flip_bit(cname, index, bit)
+        qmodel.load_into_model()
+        assert values == by_hand
 
 
 # ----------------------------------------------------------------------
@@ -573,6 +636,9 @@ class _StubSession:
 
     def objective_grads(self, terms):
         return {name: grad.copy() for name, grad in self.grads.items()}
+
+    def leaders(self, terms, k):
+        return gradient_leaders(self.objective_grads(terms), k)
 
     def evaluate_flips(self, terms, candidates):
         self.asked.append(list(candidates))
