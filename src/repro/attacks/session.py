@@ -50,6 +50,18 @@ to the per-candidate full forwards it replaces:
   key (a ``weight_transform``), the store is the session's own.  Only
   small values are stored: floats, and per tensor a read-only copy of
   the leading indices and their gradients.
+* **Shared clean-state activations** -- inside a scope each prefix
+  cache also reads through the scope's store, under the structure key,
+  the weight-state digest the session started from (taken at
+  construction) and the content of its input.  Every cell of a matrix
+  starts from the victim as built, so a layer input one cell computed
+  is not forwarded again by another.  Only entries produced by layers
+  still in the starting state are shared: :meth:`refresh` finds the
+  first top-level layer whose digest left it, and entries past that
+  layer stay private to the session.  Filed arrays are read-only and
+  never copied.  The store keeps one starting state's activations: a
+  session that starts from another state (another victim) drops the
+  ones before.
 * **Prefix-cached probes** -- accuracy and ASR probes read their
   argmax logits from one prefix cache per ``PREDICT_BATCH``-row chunk
   of the probe set, split exactly as ``Model.predict`` splits it, so
@@ -146,7 +158,10 @@ class SessionStats:
 
 
 class SearchSession:
-    """Shared candidate-evaluation engine for one attack instance."""
+    """Shared candidate-evaluation engine for one attack instance.
+    Built inside a :func:`repro.nn.memo.scope`, it shares its search
+    values and its clean-state activations with the scope's other
+    sessions."""
 
     def __init__(self, qmodel: QuantizedModel, engine: str = "suffix"):
         resolve_engine(engine, allowed=SEARCH_ENGINES, kind="search")
@@ -174,10 +189,19 @@ class SearchSession:
         # array, so the id cannot be reused while the key is kept.
         self._array_keys: dict[int, tuple[np.ndarray, str | None]] = {}
         self._batch_ok: dict[tuple, bool] = {}
-        self._layer_digests: dict[int, bytes] = {}
+        self._layer_digests: list[bytes] = []
         self._digest: bytes | None = None
         self._structure: str | None = None
         self._store: dict = {}
+        # The matrix store that clean-state activations are shared
+        # through (None: nothing is shared), the per-layer digests the
+        # session started from and their digest, and the lineage: the
+        # first top-level layer whose digest left them (the layer count
+        # if none has).
+        self._activations: dict | None = None
+        self._initial: list[bytes] = []
+        self._origin: bytes | None = None
+        self._lineage = -1
         if self.engine == "suffix":
             # Model structure and scales; the weights it also sees are
             # a harmless extra key part.  No key (a weight_transform):
@@ -188,7 +212,22 @@ class SearchSession:
             )
             shared = memo.active()
             if self._structure is not None and shared is not None:
-                self._store = shared
+                self._store = self._activations = shared
+            # The starting state is the one at construction, not at
+            # first use: a random attack lands a flip before it probes.
+            self.refresh()
+            self._initial = self._layer_digests
+            self._origin = self._digest
+            if self._activations is not None:
+                # One starting state at a time: a session starting from
+                # another (another victim's) drops the activations of
+                # the state before, so they cannot pile up per victim.
+                origin = (self._structure, self._origin)
+                for key in [
+                    key for key in shared
+                    if key[0] == "activation" and key[1][:2] != origin
+                ]:
+                    del shared[key]
 
     # ------------------------------------------------------------------
     # Weight-state digests and cache invalidation
@@ -209,24 +248,31 @@ class SearchSession:
         """Re-scan the weight state.  The first top-level layer whose
         digest changed invalidates every cached activation downstream
         of it (its own *input* stays valid); unchanged states keep all
-        caches and the probe/gradient memo keys."""
+        caches and the probe/gradient memo keys.  The first layer whose
+        digest differs from the starting state bounds the activations
+        the caches share."""
         if self.engine != "suffix":
             return
-        changed: int | None = None
-        parts: list[bytes] = []
-        for index, layer in enumerate(self.model.net.layers):
-            digest = self._layer_digest(layer)
-            parts.append(digest)
-            if self._layer_digests.get(index) != digest:
-                self._layer_digests[index] = digest
-                if changed is None:
-                    changed = index
-        if changed is not None or self._digest is None:
-            for cache in self._caches.values():
-                cache.invalidate_from(changed if changed is not None else 0)
-            self._digest = hashlib.blake2b(
-                b"".join(parts), digest_size=16
-            ).digest()
+        digests = [self._layer_digest(layer) for layer in self.model.net.layers]
+        if digests == self._layer_digests:
+            return
+        changed = self._first_difference(self._layer_digests, digests)
+        self._lineage = self._first_difference(self._initial, digests)
+        self._layer_digests = digests
+        self._digest = hashlib.blake2b(b"".join(digests), digest_size=16).digest()
+        for cache in self._caches.values():
+            cache.invalidate_from(changed)
+            cache.shared_depth = self._lineage
+
+    @staticmethod
+    def _first_difference(before: list[bytes], after: list[bytes]) -> int:
+        """The first index where two digest lists differ, ``len(after)``
+        where they agree.  An empty ``before`` (the scan at
+        construction, before any cache exists) agrees with anything."""
+        return next(
+            (i for i, (old, new) in enumerate(zip(before, after)) if old != new),
+            len(after),
+        )
 
     def state_digest(self) -> bytes | None:
         """Digest of the current weight state (``None`` on the
@@ -235,9 +281,19 @@ class SearchSession:
         return self._digest
 
     def _cache_for(self, x: np.ndarray) -> PrefixActivationCache:
+        """The prefix cache of ``x``.  In a matrix scope it reads
+        through the scope's store, keyed by the structure, the starting
+        weight state and the content of ``x``."""
         cache = self._caches.get(id(x))
         if cache is None:
-            cache = PrefixActivationCache(self.model.net, x)
+            key = None
+            if self._activations is not None:
+                content = self._array_key(x)
+                if content is not None:
+                    key = (self._structure, self._origin, content)
+            cache = PrefixActivationCache(
+                self.model.net, x, self._activations, key, self._lineage
+            )
             self._caches[id(x)] = cache
         return cache
 
@@ -254,18 +310,22 @@ class SearchSession:
         encoded = []
         for part in parts:
             if isinstance(part, np.ndarray):
-                held = self._array_keys.get(id(part))
-                if held is None:
-                    held = (part, memo.content_key(part))
-                    self._array_keys[id(part)] = held
-                if held[1] is None:
+                content = self._array_key(part)
+                if content is None:
                     return None
-                part = ("array", held[1])
+                part = ("array", content)
             encoded.append(part)
         inputs = memo.content_key(encoded)
         if inputs is None:
             return None
         return (self._structure, self._digest, inputs)
+
+    def _array_key(self, array: np.ndarray) -> str | None:
+        """The content key of ``array``, hashed once per array object."""
+        held = self._array_keys.get(id(array))
+        if held is None:
+            held = self._array_keys[id(array)] = (array, memo.content_key(array))
+        return held[1]
 
     @staticmethod
     def _terms_parts(terms: Sequence) -> list:

@@ -232,6 +232,22 @@ def _shard_of(cells: list[Scenario], index: int, count: int) -> list[Scenario]:
     return cells[index::count]
 
 
+def shard_arg(text: str) -> tuple[int, int]:
+    """``--shard i/n`` as ``(i, n)``, with ``n >= 1`` and ``0 <= i < n``:
+    the CLI's argument type, so a bad value is a usage error."""
+    try:
+        index, count = (int(part) for part in text.split("/"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must look like i/n, got {text!r}"
+        ) from None
+    if count < 1 or not 0 <= index < count:
+        raise argparse.ArgumentTypeError(
+            f"needs n >= 1 and 0 <= i < n, got {text!r}"
+        )
+    return index, count
+
+
 def run_table(
     spec: RunTableSpec,
     out_dir: str,
@@ -627,7 +643,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shard",
-        default="0/1",
+        type=shard_arg,
+        default=(0, 1),
         help="deterministic cell slice to run, as i/n (default 0/1)",
     )
     parser.add_argument("--workers", type=int, default=None)
@@ -652,12 +669,7 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="print the cell list and exit"
     )
     args = parser.parse_args(argv)
-    try:
-        shard_index, shard_count = (
-            int(part) for part in args.shard.split("/")
-        )
-    except ValueError:
-        parser.error(f"--shard must look like i/n, got {args.shard!r}")
+    shard_index, shard_count = args.shard
     spec, faults = RUNTABLE_SETS[args.table]()
     if args.timeout is not None:
         spec = replace(spec, timeout_s=args.timeout)

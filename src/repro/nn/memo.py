@@ -9,7 +9,11 @@ computation returns, so every payload is unchanged.  A
 :class:`~repro.attacks.session.SearchSession` built inside a scope keeps
 that scope's store (:func:`active`) and files its gradient leaders,
 candidate values and probes there through :func:`memoized_many`, so a
-locked cell reads what its open twin already searched.
+locked cell reads what its open twin already searched.  Its prefix
+caches (:class:`~repro.nn.model.PrefixActivationCache`) read through
+the same store and file the layer inputs they compute while the
+producing layers are still in the state the session started from, so
+no cell forwards a clean-state prefix another cell already forwarded.
 
 The rules (``tests/test_memo.py`` pins them):
 
@@ -23,7 +27,9 @@ The rules (``tests/test_memo.py`` pins them):
   is computed.
 * **Values are immutable and small**: floats, read-only arrays, or
   records whose caller hands out a fresh object per call
-  (``make_dataset``, a session's gradient leaders).
+  (``make_dataset``, a session's gradient leaders).  Activations are
+  the one large kind: read-only arrays, never copied, of one starting
+  weight state at a time (a matrix's victim as built).
 * **Lifetime**: one memo per ``run_matrix`` call, in each process that
   runs its cells.  Outside a scope nothing is shared: the clean-state
   kinds are computed every time, and a search session keeps a store of
@@ -46,8 +52,10 @@ from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+# repro.nn.model imports this module: binding the module, not its
+# names, lets either be imported first.
+from . import model as nn_model
 from .layers import Layer, Parameter
-from .model import Model
 
 __all__ = [
     "MemoStats",
@@ -67,8 +75,9 @@ T = TypeVar("T")
 @dataclass
 class MemoStats:
     """Work counters by kind (``"dataset"``, ``"accuracy"``,
-    ``"trigger"``, and a search session's ``"leaders"``,
-    ``"candidate"`` and ``"probe"``): ``computed`` counts every
+    ``"trigger"``, a search session's ``"leaders"``, ``"candidate"``
+    and ``"probe"``, and ``"activation"``, one per layer input a
+    prefix cache computes or records): ``computed`` counts every
     computation, inside a scope or not; ``hits`` counts values served
     from a memo."""
 
@@ -128,7 +137,7 @@ def _feed(digest, value: Any) -> None:
     elif isinstance(value, Parameter):
         _put(digest, "parameter")
         _feed(digest, value.value)
-    elif isinstance(value, (Model, Layer)):
+    elif isinstance(value, (nn_model.Model, Layer)):
         cls = type(value)
         attrs = vars(value)
         public = sorted(name for name in attrs if not name.startswith("_"))
@@ -210,7 +219,7 @@ def memoized_many(
     return [values[item] for item in items], len(missing)
 
 
-def accuracy(model: Model, x: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(model: nn_model.Model, x: np.ndarray, labels: np.ndarray) -> float:
     """``model.accuracy(x, labels)`` through the memo: the key covers
     the model's state and structure, the probe and the labels."""
     return memoized(

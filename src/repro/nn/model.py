@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Hashable, Iterator
 
 import numpy as np
 
+from . import memo
 from .functional import cross_entropy, cross_entropy_grad, softmax
 from .layers import (
     Conv2d,
@@ -76,6 +77,17 @@ class PrefixActivationCache:
     and must drop every entry ``> k``.  :meth:`invalidate_from` does
     exactly that.
 
+    A cache built with a ``store`` (a dict shared with other caches,
+    the matrix memo's) and a ``key`` reads through it: an entry filed
+    under ``("activation", key, i)`` is not recomputed, and every entry
+    the cache computes or is handed is filed there, read-only.  The key
+    names the input and the weight state the stored entries were
+    computed in, so only entries ``i <= shared_depth`` -- those whose
+    producing layers ``< i`` are still in that state -- are read or
+    filed; the owner moves ``shared_depth`` as the weights change.
+    Filed arrays are never copied.  Computations and store hits count
+    as the ``"activation"`` kind in :data:`repro.nn.memo.STATS`.
+
     Because eval-mode forwards are deterministic, every cached entry is
     bitwise what a fresh full forward would produce, so losses computed
     from :meth:`logits` are bit-identical to ``model.loss``.  No
@@ -83,13 +95,24 @@ class PrefixActivationCache:
     :func:`~repro.nn.layers.no_backward`.
     """
 
-    def __init__(self, net: Sequential, x: np.ndarray):
+    def __init__(
+        self,
+        net: Sequential,
+        x: np.ndarray,
+        store: dict | None = None,
+        key: Hashable | None = None,
+        shared_depth: int = -1,
+    ):
         if not isinstance(net, Sequential):
             raise TypeError("activation caching requires a Sequential net")
         self.net = net
         self.x = x
         self.depth = len(net.layers)
         self._acts: dict[int, np.ndarray] = {0: x}
+        self._store = store if key is not None else None
+        self._key = key
+        #: Entries up to this index are read from and filed in the store.
+        self.shared_depth = shared_depth
 
     def cached_indices(self) -> list[int]:
         """Currently valid entry indices (0 = the input batch)."""
@@ -97,27 +120,42 @@ class PrefixActivationCache:
 
     def input_of(self, k: int) -> np.ndarray:
         """Input activation of top-level layer ``k`` (``k == depth``
-        yields the logits), computing and caching any missing prefix."""
+        yields the logits), reading the deepest missing entry it can
+        from the store and computing (and caching) the rest."""
         if not 0 <= k <= self.depth:
             raise IndexError(f"layer index {k} out of range 0..{self.depth}")
         j = max(i for i in self._acts if i <= k)
         a = self._acts[j]
+        if self._store is not None:
+            for i in range(min(k, self.shared_depth), j, -1):
+                stored = self._store.get(("activation", self._key, i))
+                if stored is not None:
+                    memo.STATS.hits["activation"] += 1
+                    j = i
+                    a = self._acts[i] = stored
+                    break
         with no_backward():
             while j < k:
                 a = self.net.layers[j].forward(a)
                 j += 1
-                self._acts[j] = a
+                self.store(j, a)
         return a
 
     def logits(self) -> np.ndarray:
         return self.input_of(self.depth)
 
     def store(self, i: int, a: np.ndarray) -> None:
-        """Record the input of layer ``i`` observed during an external
-        full forward (the gradient pass doubles as a cache refill)."""
+        """Record the input of layer ``i``: one :meth:`input_of`
+        computed, or one observed during an external full forward (the
+        gradient pass doubles as a cache refill)."""
         if not 0 <= i <= self.depth:
             raise IndexError(f"layer index {i} out of range 0..{self.depth}")
+        if i and self._store is not None and i <= self.shared_depth:
+            a.flags.writeable = False
+            a = self._store.setdefault(("activation", self._key, i), a)
         self._acts[i] = a
+        if i:
+            memo.STATS.computed["activation"] += 1
 
     def invalidate_from(self, k: int) -> None:
         """A weight inside top-level layer ``k`` changed: drop every

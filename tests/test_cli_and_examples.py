@@ -47,3 +47,24 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--tag" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shard", ["0/0", "3/2", "x"])
+    def test_bad_runtable_shard_is_a_usage_error(
+        self, shard, monkeypatch, capsys
+    ):
+        """A malformed or out-of-range ``--shard`` exits 2 with
+        argparse's usage message, before any cell runs."""
+        from repro.eval import runtable
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table ran")
+
+        monkeypatch.setattr(runtable, "run_table", no_table)
+        with pytest.raises(SystemExit) as exc:
+            main(["runtable", "--set", "demo", "--shard", shard])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.count("usage: ") == 1
+        assert "argument --shard: " in err and repr(shard) in err
+        assert "Traceback" not in err

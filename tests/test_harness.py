@@ -189,10 +189,13 @@ class TestMatrixMemo:
         # candidates and its post-flip probes; its locked twin reads
         # the leaders and candidates back and computes only its
         # clean-state probes (bfa-locked's accuracy is backdoor-locked's).
+        # Activations (one per layer input computed): later cells read
+        # 9 entries earlier cells filed, and the matrix computes 131 of
+        # the 263 its cells compute alone.
         once = {"dataset": 1, "accuracy": 1, "trigger": 1,
-                "leaders": 2, "candidate": 12, "probe": 9}
+                "leaders": 2, "candidate": 12, "probe": 9, "activation": 131}
         shared = {"dataset": 3, "accuracy": 3, "trigger": 1,
-                  "leaders": 2, "candidate": 12, "probe": 1}
+                  "leaders": 2, "candidate": 12, "probe": 1, "activation": 9}
         first, computed, hits = self._counted(
             lambda: run_matrix(TINY_ATTACKS, workers=1)
         )
@@ -207,7 +210,7 @@ class TestMatrixMemo:
         )
         assert (computed, hits) == (
             {"dataset": 4, "accuracy": 4, "trigger": 2,
-             "leaders": 4, "candidate": 24, "probe": 10},
+             "leaders": 4, "candidate": 24, "probe": 10, "activation": 263},
             {},
         )
         parallel = run_matrix(TINY_ATTACKS, workers=2)
@@ -221,14 +224,21 @@ class TestMatrixMemo:
         BFA's: those cells run no gradient pass.  Only bfa-locked
         scores a candidate -- its second, blocked iteration ranks one
         in place of the first target, which the open twin never scored
-        at the clean state."""
+        at the clean state.  Nor does a locked cell forward a layer
+        input its open twin already computed at the clean state: every
+        activation it computes is an entry it files, and bfa-locked's
+        two are the logits of the twin's probe sets, whose last layer
+        the twin's first flip had changed before it probed them."""
         computed_by_cell = {}
-        before = [Counter(memo.STATS.computed)]
+        filed_by_cell = {}
+        before = [Counter(memo.STATS.computed), set()]
 
         def record(result):
             now = Counter(memo.STATS.computed)
+            filed = {key for key in memo.active() if key[0] == "activation"}
             computed_by_cell[result.name] = now - before[0]
-            before[0] = now
+            filed_by_cell[result.name] = filed - before[1]
+            before[:] = [now, filed]
 
         serial = run_matrix(BFA_REPLAY, workers=1, on_result=record)
         search = {
@@ -241,6 +251,19 @@ class TestMatrixMemo:
             "attack-multi-round-bfa-open": (0, 0),
             "attack-multi-round-bfa-locked": (0, 0),
         }
+        activations = {
+            name: (computed["activation"], len(filed_by_cell[name]))
+            for name, computed in computed_by_cell.items()
+        }
+        assert activations == {
+            "attack-bfa-open": (72, 40),
+            "attack-bfa-locked": (2, 2),
+            "attack-multi-round-bfa-open": (0, 0),
+            "attack-multi-round-bfa-locked": (0, 0),
+        }
+        # ...each one layer past the deepest entry the twin filed.
+        for kind, inputs, j in filed_by_cell["attack-bfa-locked"]:
+            assert (kind, inputs, j - 1) in filed_by_cell["attack-bfa-open"]
         parallel = run_matrix(BFA_REPLAY, workers=2)
         assert _payloads(parallel.results) == _payloads(serial.results)
 

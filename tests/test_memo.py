@@ -459,10 +459,167 @@ def test_unkeyable_model_memoizes_within_its_session_only():
             session = SearchSession(qmodel)
             for _ in range(2):  # ...but the second look in one is a hit
                 _measure(session, inputs, candidates)
-        assert not any(kind in SEARCH_KINDS for kind, *_ in memo.active())
+        assert not any(
+            kind in (*SEARCH_KINDS, "activation") for kind, *_ in memo.active()
+        )
     assert [counts.since(kind) for kind in SEARCH_KINDS] == [
         (2, 2), (6, 6), (6, 6)
     ]
+
+
+# ----------------------------------------------------------------------
+# Search sessions: clean-state activations
+# ----------------------------------------------------------------------
+def _activation_values(session, x, y, k):
+    """The input of layer ``k`` and the three probes over ``(x, y)``,
+    in a comparable form."""
+    session.refresh()
+    return (
+        session._cache_for(x).input_of(k).tobytes(),
+        repr(session.objective((SearchTerm(x, y),))),
+        repr(session.accuracy(x, y)),
+        repr(session.success_rate(x, 0)),
+    )
+
+
+def _filed_activations() -> dict:
+    return {key: value for key, value in memo.active().items()
+            if key[0] == "activation"}
+
+
+def _lineage(flipped: Counter, depth: int) -> int:
+    """The first top-level layer holding a landed flip that has not
+    been flipped back, ``depth`` if none."""
+    return min(
+        (int(name.split(".")[0]) for (name, _, _), n in flipped.items() if n % 2),
+        default=depth,
+    )
+
+
+_ACTIVATION_STEP = st.tuples(
+    st.none() | st.integers(0, 2**12),  # blocked, or the flip that lands
+    st.integers(0, 2),  # the probe set
+    st.integers(0, 14),  # k: the layer whose input is read
+)
+
+
+@settings(GENERATED, max_examples=25)
+@given(
+    runs=st.lists(st.lists(_ACTIVATION_STEP, min_size=1, max_size=4),
+                  min_size=2, max_size=3),
+)
+def test_activation_hits_equal_fresh(runs):
+    """Two or three sessions of one scope -- cells of a matrix -- read
+    layer inputs and probes over drawn probe sets while drawn flips
+    land (the first one possibly before the first read, as a random
+    attack's does) or are blocked; each value equals a fresh session's
+    outside a scope.  A session files only entries produced by layers
+    still in the starting state, and a filed array cannot be written.
+    (Whether a drawn run hits depends on its draws; the hit counts are
+    pinned below and in ``tests/test_harness.py``.)"""
+    qmodel, dataset = _qmodel(), _dataset()
+    x, y = dataset.test_x, dataset.test_y
+    probe_sets = [(x[::2], y[::2]), (x[1::2], y[1::2]), (x, y)]
+    names = sorted(qmodel.tensors)
+    depth = len(qmodel.model.net.layers)
+    clean = qmodel.snapshot()
+    seen = []
+    with memo.scope():
+        for run in runs:
+            qmodel.restore(clean)
+            session = SearchSession(qmodel)
+            flipped = Counter()
+            for landed, probe, k in run:
+                if landed is not None:  # may land before the first read
+                    name = names[landed % len(names)]
+                    flip = (name, (landed // 8) % qmodel.tensors[name].q.size,
+                            landed % 8)
+                    qmodel.flip_bit(*flip)
+                    flipped[flip] += 1
+                k = min(k, depth)
+                before = _filed_activations()
+                values = _activation_values(session, *probe_sets[probe], k)
+                lineage = _lineage(flipped, depth)
+                filed = set(_filed_activations()) - set(before)
+                assert all(j <= lineage for _, _, j in filed)
+                seen.append((qmodel.snapshot(), probe, k, values))
+        stored = list(_filed_activations().values())
+    for array in stored:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.0
+    for snapshot, probe, k, values in seen:
+        qmodel.restore(snapshot)
+        assert memo.active() is None
+        assert values == _activation_values(
+            SearchSession(qmodel), *probe_sets[probe], k
+        )
+
+
+def _act_weight(qmodel, x, pick):
+    name = sorted(qmodel.tensors)[pick % len(qmodel.tensors)]
+    qmodel.flip_bit(name, (pick // 8) % qmodel.tensors[name].q.size, pick % 8)
+    return int(name.split(".")[0]), x
+
+
+def _act_bn(qmodel, x, pick):
+    # The top-level layer of the BatchNorm that _bn_stat nudges.
+    tops = [
+        int(path.split(".")[0])
+        for path, node in iter_layers(qmodel.model.net)
+        if isinstance(node, BatchNorm2d)
+    ]
+    _bn_stat(qmodel, None, None, pick)
+    return tops[pick % len(tops)], x
+
+
+def _act_input(qmodel, x, pick):
+    return 0, _probe_pixel(qmodel, x, None, pick)[0]
+
+
+def _act_scale(qmodel, x, pick):
+    _perturb_scale(qmodel, None, pick)
+    return 0, x
+
+
+@pytest.mark.parametrize(
+    "perturb, built",
+    [
+        (_act_weight, "before"),
+        (_act_weight, "after"),
+        (_act_bn, "before"),
+        (_act_bn, "after"),
+        (_act_input, "before"),
+        (_act_scale, "after"),
+    ],
+)
+@settings(GENERATED, max_examples=3)
+@given(pick=st.integers(0, 2**20))
+def test_perturbed_activation_key_misses(perturb, built, pick):
+    """A second cell reads the logits after one key part changed.  Built
+    before the change (the session's own flip, say), it misses every
+    entry produced by the changed layer ``m`` (entries ``> m``) and
+    still hits the deepest entry before them.  Built after it (a
+    session reads the scales and its starting state at construction),
+    it misses every entry, and the first state's entries are dropped."""
+    qmodel, (x, _) = _qmodel(), _probe()
+    depth = len(qmodel.model.net.layers)
+    with memo.scope():
+        SearchSession(qmodel)._cache_for(x).logits()  # files every entry
+        assert not any(a.flags.writeable for a in _filed_activations().values())
+        second = SearchSession(qmodel) if built == "before" else None
+        changed, x = perturb(qmodel, x, pick)
+        if second is None:
+            second, changed = SearchSession(qmodel), 0
+        counts = Counts()
+        second.refresh()
+        logits = second._cache_for(x).logits()
+        # The store holds the activations of one starting state: a
+        # session built after the change dropped the first one's.
+        assert len({key[1][:2] for key in _filed_activations()}) == 1
+    assert counts.since("activation") == (depth - changed, int(changed > 0))
+    fresh = SearchSession(qmodel)
+    fresh.refresh()
+    assert _same(logits, fresh._cache_for(x).logits())
 
 
 # ----------------------------------------------------------------------
