@@ -189,6 +189,9 @@ class SearchSession:
         # array, so the id cannot be reused while the key is kept.
         self._array_keys: dict[int, tuple[np.ndarray, str | None]] = {}
         self._batch_ok: dict[tuple, bool] = {}
+        # Per top-level layer, the (owner, attribute) pairs its digest
+        # reads, found once; the arrays are read at every refresh.
+        self._layer_arrays: list[list[tuple[object, str]]] = []
         self._layer_digests: list[bytes] = []
         self._digest: bytes | None = None
         self._structure: str | None = None
@@ -213,6 +216,9 @@ class SearchSession:
             shared = memo.active()
             if self._structure is not None and shared is not None:
                 self._store = self._activations = shared
+            self._layer_arrays = [
+                self._arrays_of(layer) for layer in self.model.net.layers
+            ]
             # The starting state is the one at construction, not at
             # first use: a random attack lands a flip before it probes.
             self.refresh()
@@ -233,15 +239,25 @@ class SearchSession:
     # Weight-state digests and cache invalidation
     # ------------------------------------------------------------------
     @staticmethod
-    def _layer_digest(layer) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        for param in layer.params().values():
-            h.update(np.ascontiguousarray(param.value))
+    def _arrays_of(layer) -> list[tuple[object, str]]:
+        """Where a top-level layer's digest reads its arrays, in digest
+        order: every parameter's ``value``, then every sub-layer's
+        BatchNorm buffers.  Pairs, not arrays: ``load_model_state``
+        replaces the buffer arrays."""
+        pairs: list[tuple[object, str]] = [
+            (param, "value") for param in layer.params().values()
+        ]
         for _, node in iter_layers(layer):
             for buffer_name in ("running_mean", "running_var"):
-                value = getattr(node, buffer_name, None)
-                if isinstance(value, np.ndarray):
-                    h.update(np.ascontiguousarray(value))
+                if isinstance(getattr(node, buffer_name, None), np.ndarray):
+                    pairs.append((node, buffer_name))
+        return pairs
+
+    @staticmethod
+    def _layer_digest(pairs: list[tuple[object, str]]) -> bytes:
+        h = hashlib.blake2b(digest_size=16)
+        for owner, attribute in pairs:
+            h.update(np.ascontiguousarray(getattr(owner, attribute)))
         return h.digest()
 
     def refresh(self) -> None:
@@ -253,7 +269,7 @@ class SearchSession:
         the caches share."""
         if self.engine != "suffix":
             return
-        digests = [self._layer_digest(layer) for layer in self.model.net.layers]
+        digests = [self._layer_digest(pairs) for pairs in self._layer_arrays]
         if digests == self._layer_digests:
             return
         changed = self._first_difference(self._layer_digests, digests)

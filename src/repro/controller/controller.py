@@ -44,11 +44,12 @@ the suffix-forward search engine: the fast path is only used where
 equivalence is pinned).  ``engine="bulk"`` and ``engine="events"`` run
 the same fast path; ``"events"`` only changes how the serving layer
 schedules streams across channels (:mod:`repro.controller.events`).
-Where the defense plan allows it (``RunAction.fuse_ticks``, or no
-defense installed), ACT runs commit whole multi-tick epochs in one
-fused ``np.add.accumulate`` pass instead of dropping to a scalar step
-at every refresh tick -- still bit-identical to the scalar reference
-(the contract ``docs/ARCHITECTURE.md`` documents).
+ACT runs commit whole multi-tick epochs in one fused
+``np.add.accumulate`` pass, with or without a defense.  An epoch stops
+before the ACT whose REF completes a refresh window, so window-scoped
+defense state resets where the scalar loop resets it -- bit-identical
+to the scalar reference (the contract ``docs/ARCHITECTURE.md``
+documents).
 """
 
 from __future__ import annotations
@@ -473,18 +474,13 @@ class MemoryController:
     ) -> None:
         """Drain ``requests[start:end]`` -- identical ACTs of one row --
         alternating exact bulk commits with scalar steps at every point
-        where a threshold crossing, locker deadline, or defense event
-        could change the outcome.
+        where a threshold crossing, locker deadline, refresh-window end
+        or defense event could change the outcome.
 
-        The defense plans each span once (``plan_activate_run``).  A
-        span whose plan may cross refresh ticks (``plan.fuse_ticks``,
-        or no defense installed) commits as one fused multi-tick epoch
-        (:meth:`_fused_epoch`); any other span commits as one
-        tick-bounded :meth:`_bulk_acts` chunk, so the defense sees the
-        boundary ACT of every refresh tick on the scalar path."""
+        The defense plans each span once (``plan_activate_run``); the
+        span then commits as one fused multi-tick epoch
+        (:meth:`_fused_epoch`)."""
         device = self.device
-        refresh = device.refresh
-        rowhammer = device.rowhammer
         locker = self.locker
         defense = self.defense
         trc = device.timing.trc
@@ -523,7 +519,6 @@ class MemoryController:
             # ahead it stays uniform.  Non-opted-in defenses (plan is
             # None) keep the request-at-a-time scalar path.
             defense_extra = 0.0
-            fuse_ticks = True
             limit = min(end - index, pending_bound)
             if defense is not None:
                 physical = defense.translate(physical)
@@ -534,28 +529,12 @@ class MemoryController:
                     continue
                 limit = min(limit, plan.count)
                 defense_extra = plan.extra_ns
-                fuse_ticks = plan.fuse_ticks
 
             extra_ns = lock_ns + defense_extra  # the scalar fold order
-            step_ns = trc + extra_ns
-            if fuse_ticks:
-                count = self._fused_epoch(
-                    requests, index, physical, lookup_hit, extra_ns,
-                    step_ns, limit, sink,
-                )
-            else:
-                # One-step safety margin keeps every refresh tick and
-                # every threshold crossing on the scalar path.
-                count = min(
-                    limit,
-                    refresh.quiet_steps(device.now_ns, step_ns),
-                    rowhammer.quiet_span(physical),
-                )
-                if count > 0:
-                    self._bulk_acts(
-                        requests, index, count, physical, lookup_hit,
-                        extra_ns, step_ns, sink,
-                    )
+            count = self._fused_epoch(
+                requests, index, physical, lookup_hit, extra_ns,
+                trc + extra_ns, limit, sink,
+            )
             if count <= 0:
                 sink.add(self.execute(requests[index]))
                 index += 1
@@ -575,53 +554,38 @@ class MemoryController:
     ) -> int:
         """Commit up to ``limit`` quiet ACTs of ``physical`` in one pass.
 
-        Unlike :meth:`_bulk_acts`, the epoch may span refresh ticks: the
-        tick steps are located exactly (by searching the accumulated
-        clock column for ``next_ref_ns``, the same comparison the scalar
-        ``advance`` performs on the same folded values) and fired in
-        place, so the REF walker, the hammer counters, and every energy
-        accumulator evolve bit-identically to the scalar loop.  The
-        epoch stops *before* a TRH crossing -- the crossing ACT itself
-        runs scalar so flips land with the exact folded timestamp.
+        The epoch may span refresh ticks: the tick steps are located
+        exactly (by searching the accumulated clock column for
+        ``next_ref_ns``, the same comparison the scalar ``advance``
+        performs on the same folded values) and fired in place, so the
+        REF walker, the hammer counters, and every energy accumulator
+        evolve bit-identically to the scalar loop.  The epoch stops
+        *before* two kinds of step, which run scalar:
+
+        * a TRH crossing, so flips land with the exact folded timestamp;
+        * the step whose advance fires the REF that completes a refresh
+          window (:meth:`~repro.dram.refresh.RefreshEngine.wraps_by`).
+          The next ACT's ``_window_check`` (or the next plan's) then
+          resets window-scoped defense state exactly where the scalar
+          loop resets it.  Inside a window every per-ACT
+          ``_window_check`` is a no-op, and no plan reads the clock or
+          the hammer counters, so a planned span stays uniform across
+          the REFs the epoch fires.
 
         Returns the number of ACTs committed (0 means the very next ACT
         is a boundary and must take the scalar path).  The caller
         guarantees no locker deadline and no defense event falls inside
-        ``limit`` steps, and that the defense does no refresh-window
-        work (``RunAction.fuse_ticks``).
+        ``limit`` steps.
         """
         device = self.device
         refresh = device.refresh
         rowhammer = device.rowhammer
-        limit = min(limit, EPOCH_CAP)
-
-        # Fast path: no event inside the whole epoch -- a plain bulk
-        # chunk, no accumulate buffer needed.
-        quiet = min(
-            refresh.quiet_steps(device.now_ns, step_ns),
-            rowhammer.quiet_span(physical),
-        )
-        if quiet >= limit:
-            tel = obs.ACTIVE
-            if tel is not None:
-                tel.metrics.inc("controller.epoch_leaps", engine=self.engine)
-            self._bulk_acts(
-                requests, start, limit, physical, lookup_hit, extra_ns,
-                step_ns, sink,
-            )
-            return limit
-
         stats = device.stats
         breakdown = stats.energy
         energy = device.energy
-        trc = device.timing.trc
         now_start = device.now_ns
-
-        # One strict sequential scan per accumulator: column k holds
-        # every accumulator's exact value after k steps (the scalar
-        # fold).
-        buffer = np.empty((6, limit + 1), dtype=np.float64)
-        buffer[:, 0] = (
+        limit = min(limit, EPOCH_CAP)
+        accumulators = (
             breakdown.activate,
             breakdown.precharge,
             breakdown.background,
@@ -629,61 +593,75 @@ class MemoryController:
             stats.defense_ns,
             now_start,
         )
-        buffer[:, 1:] = np.array(
-            [
-                energy.e_act,
-                energy.e_pre,
-                energy.background_nj(step_ns),
-                trc,
-                extra_ns,
-                step_ns,
-            ],
-            dtype=np.float64,
-        )[:, None]
-        np.add.accumulate(buffer, axis=1, out=buffer)
-        now_column = buffer[5]
+        steps = (
+            energy.e_act,
+            energy.e_pre,
+            energy.background_nj(step_ns),
+            device.timing.trc,
+            extra_ns,
+            step_ns,
+        )
 
-        committed = limit
         position = 0  # ACT steps already charged onto the hammer counter
-        while True:
-            # 1-based step index of the next TRH / Half-Double crossing,
-            # from the *current* counter (ticks inside the epoch reset
-            # it).
-            crossing = position + rowhammer.quiet_span(physical) + 1
-            # 1-based step index whose advance first satisfies the
-            # scalar tick condition ``now >= next_ref`` on the folded
-            # clock.
-            tick = (
-                int(
-                    np.searchsorted(
-                        now_column[1:], refresh.next_ref_ns, side="left"
-                    )
-                )
-                + 1
-            )
-            if crossing <= limit and crossing <= tick:
-                # The crossing ACT must run scalar (possible
-                # disturbance): stop the epoch just before it.  If the
-                # crossing step is also the tick step, the tick fires
-                # during that scalar boundary ACT's own advance, not
-                # here.
-                committed = crossing - 1
-                break
-            if tick > limit:
-                break
-            # Fuse across this REF: the boundary ACT's counter bump
-            # lands first (scalar order: activate, then advance fires
-            # the tick), then the due slices reset their rows.
-            rowhammer.charge_activations(physical, tick - position)
-            position = tick
-            refresh.tick(float(now_column[tick]))
+        leap = limit <= min(
+            refresh.quiet_steps(now_start, step_ns),
+            rowhammer.quiet_span(physical),
+        )
+        if leap:
+            # No REF and no crossing inside the epoch: every accumulator
+            # advances by a constant step, no clock column needed.
+            committed = limit
+            final = walk_add_many(accumulators, steps, limit)
+        else:
+            # One strict sequential scan per accumulator: column k holds
+            # every accumulator's exact value after k steps (the scalar
+            # fold).
+            buffer = np.empty((6, limit + 1), dtype=np.float64)
+            buffer[:, 0] = accumulators
+            buffer[:, 1:] = np.array(steps, dtype=np.float64)[:, None]
+            np.add.accumulate(buffer, axis=1, out=buffer)
+            now_column = buffer[5]
+            stepped = now_column[1:]  # the clock after each step
 
-        if committed <= 0:
-            return 0
-        tel = obs.ACTIVE
-        if tel is not None:
-            tel.metrics.inc("controller.fused_epochs", engine=self.engine)
-            tel.metrics.inc("controller.acts", committed, engine=self.engine)
+            committed = limit
+            while True:
+                # 1-based step index of the next TRH / Half-Double
+                # crossing, from the *current* counter (ticks inside the
+                # epoch reset it).
+                crossing = position + rowhammer.quiet_span(physical) + 1
+                # 1-based step index whose advance first satisfies the
+                # scalar tick condition ``now >= next_ref`` on the
+                # folded clock.
+                tick = (
+                    int(stepped.searchsorted(refresh.next_ref_ns, side="left"))
+                    + 1
+                )
+                if crossing <= limit and crossing <= tick:
+                    # The crossing ACT must run scalar (possible
+                    # disturbance): stop the epoch just before it.  If
+                    # the crossing step is also the tick step, the tick
+                    # fires during that scalar boundary ACT's own
+                    # advance, not here.
+                    committed = crossing - 1
+                    break
+                if tick > limit:
+                    break
+                now_tick = float(now_column[tick])
+                if refresh.wraps_by(now_tick):
+                    # This step's advance completes a refresh window:
+                    # it runs scalar.
+                    committed = tick - 1
+                    break
+                # Fuse across this REF: the boundary ACT's counter bump
+                # lands first (scalar order: activate, then advance
+                # fires the tick), then the due slices reset their rows.
+                rowhammer.charge_activations(physical, tick - position)
+                position = tick
+                refresh.tick(now_tick)
+            if committed <= 0:
+                return 0
+            final = buffer[:, committed].tolist()
+
         rowhammer.charge_activations(physical, committed - position)
         (
             breakdown.activate,
@@ -692,112 +670,41 @@ class MemoryController:
             stats.busy_ns,
             stats.defense_ns,
             device.now_ns,
-        ) = (float(value) for value in buffer[:, committed])
-        self._commit_acts(
-            requests, start, committed, physical, lookup_hit, extra_ns,
-            step_ns, now_start, sink,
-        )
-        return committed
-
-    def _bulk_acts(
-        self,
-        requests: Sequence[MemRequest],
-        start: int,
-        count: int,
-        physical: int,
-        lookup_hit: bool,
-        extra_ns: float,
-        step_ns: float,
-        sink,
-    ) -> None:
-        """Account ``count`` allowed ACT+PRE cycles of ``physical`` in
-        bulk.  The caller guarantees no refresh tick, no threshold
-        crossing, no locker deadline, and no defense event falls inside
-        the chunk, so every accumulator advances by a constant per-step
-        value -- replayed in the scalar addition order by
-        :func:`~repro.dram.stats.walk_add_many`."""
-        device = self.device
-        stats = device.stats
-        breakdown = stats.energy
-        energy = device.energy
-        trc = device.timing.trc
-        now_start = device.now_ns
-
-        (
-            breakdown.activate,
-            breakdown.precharge,
-            breakdown.background,
-            stats.busy_ns,
-            stats.defense_ns,
-            device.now_ns,
-        ) = walk_add_many(
-            (
-                breakdown.activate,
-                breakdown.precharge,
-                breakdown.background,
-                stats.busy_ns,
-                stats.defense_ns,
-                device.now_ns,
-            ),
-            (
-                energy.e_act,
-                energy.e_pre,
-                energy.background_nj(step_ns),
-                trc,
-                extra_ns,
-                step_ns,
-            ),
-            count,
-        )
-        device.rowhammer.charge_activations(physical, count)
+        ) = final
 
         tel = obs.ACTIVE
         if tel is not None:
-            tel.metrics.inc("controller.act_runs", engine=self.engine)
-            tel.metrics.inc("controller.acts", count, engine=self.engine)
-            tel.metrics.set(
-                "controller.defense_ns", stats.defense_ns, engine=self.engine
-            )
+            engine = self.engine
+            if leap:
+                tel.metrics.inc("controller.epoch_leaps", engine=engine)
+                tel.metrics.inc("controller.act_runs", engine=engine)
+                tel.metrics.set(
+                    "controller.defense_ns", stats.defense_ns, engine=engine
+                )
+            else:
+                tel.metrics.inc("controller.fused_epochs", engine=engine)
+            tel.metrics.inc("controller.acts", committed, engine=engine)
 
-        self._commit_acts(
-            requests, start, count, physical, lookup_hit, extra_ns, step_ns,
-            now_start, sink,
-        )
-
-    def _commit_acts(
-        self,
-        requests: Sequence[MemRequest],
-        start: int,
-        count: int,
-        physical: int,
-        lookup_hit: bool,
-        extra_ns: float,
-        step_ns: float,
-        now_start: float,
-        sink,
-    ) -> None:
-        """The tail both commit steps share, once the float
-        accumulators and hammer counters hold ``count`` more ACTs:
-        integer counters, the bank precharge, the locker and defense
-        closed-form charges, and one run to the sink."""
-        device = self.device
-        device.stats.activates += count
-        device.stats.precharges += count
+        stats.activates += committed
+        stats.precharges += committed
         # Every scalar ACT ends with a precharge of its own bank.
         device.banks[device.mapper.row_address(physical).bank].open_row = None
         if self.locker is not None:
-            self.locker.charge_bulk(count, lookup_hit)
+            self.locker.charge_bulk(committed, lookup_hit)
         if self.defense is not None:
-            self.defense.on_activate_run(physical, count, now_start, step_ns)
+            self.defense.on_activate_run(
+                physical, committed, now_start, step_ns
+            )
         sink.add_run(
             requests,
             start,
-            count,
+            committed,
             Status.DONE,
             latency_ns=step_ns,
             defense_ns=extra_ns,
             physical=physical,
         )
+        return committed
 
     def _bulk_blocked(
         self,

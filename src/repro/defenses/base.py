@@ -26,8 +26,12 @@ without one Python call per activation:
   planned run in closed form, bit-identical to ``count`` scalar
   ``on_activate`` calls.
 
-A plan with ``fuse_ticks=True`` further lets the controller commit the
-run across refresh ticks in one fused epoch; see :class:`RunAction`.
+The controller commits a planned run across refresh ticks in one fused
+epoch, but never across the REF that completes a refresh window: that
+ACT runs scalar, so ``_window_check`` resets window-scoped state where
+the scalar loop does.  A plan must read only the defense's own state
+(after its ``_window_check``), never the clock or the hammer counters,
+so the run it planned stays uniform across the ticks the epoch fires.
 
 Chunk boundaries are therefore exactly the points where a defense can
 change behaviour: counter/Misra-Gries threshold crossings, TRR sampler
@@ -80,18 +84,10 @@ class RunAction:
         extra_ns: Mitigation latency each of those ACTs charges --
             identical across the run by the planning contract (e.g.
             Hydra's per-ACT DRAM row-counter access), usually 0.0.
-        fuse_ticks: Whether the run may be committed across refresh
-            ticks in one fused epoch.  Only sound for a defense whose
-            ``on_activate`` does no refresh-window-scoped work: the
-            scalar loop runs its window check (``_window_check``) on
-            the boundary ACT at each tick, and a fused tick skips it.
-            ``False`` keeps a scalar boundary ACT at every tick, which
-            is always correct.
     """
 
     count: int
     extra_ns: float = 0.0
-    fuse_ticks: bool = False
 
 
 @dataclass
@@ -245,9 +241,8 @@ class NoDefense(Defense):
 
     def plan_activate_run(self, row: int, limit: int) -> RunAction | None:
         # The base on_activate neither checks windows nor charges; a
-        # whole run is uniform by construction and may fuse across
-        # refresh ticks.
-        return RunAction(limit, fuse_ticks=True)
+        # whole run is uniform by construction.
+        return RunAction(limit)
 
     def on_activate_run(
         self, row: int, count: int, now_ns: float, step_ns: float

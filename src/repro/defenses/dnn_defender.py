@@ -12,10 +12,11 @@ follows, so both the protection and its latency cost are emergent in
 simulation.  A per-window swap budget models the paper's constraint
 that swaps must fit inside refresh windows.
 
-Window-scoped state means the defense's run plans leave
-:attr:`~repro.defenses.base.RunAction.fuse_ticks` unset: the controller
-keeps the chunked bulk discipline (scalar boundary at every refresh
-tick), which is bit-identical by the existing bulk contract.
+The window-scoped state (counts and the swap budget) resets only when
+a refresh window completes.  The controller's fused epochs cross
+ordinary refresh ticks but stop before the ACT whose REF completes a
+window; that ACT runs scalar and the next plan's ``_window_check``
+resets the window, as in the scalar loop.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ recovery routine:
   ``check_ns`` per access);
 * **scrub pass** -- every ``scrub_interval`` activations (any row) a
   full sweep re-verifies every group.  :meth:`Radar.plan_activate_run`
-  plans the quiet span until the next scrub boundary in closed form
-  with ``fuse_ticks=True``, so fused epochs leap straight to the scrub
-  ACT.
+  plans the quiet span until the next scrub boundary in closed form,
+  so fused epochs leap straight to the scrub ACT.
 
 Recovery is two-level.  Groups inside the golden budget keep exact
 row copies ("locatable"): corrupted rows are restored bit-exactly.
@@ -23,12 +22,12 @@ but not locatable, and the whole group is zeroed -- zero weights
 degrade accuracy gracefully instead of silently misclassifying
 (RADAR's accuracy-recovery argument).
 
-Engine equivalence: RADAR performs no refresh-window-scoped work, so
-its planned runs may fuse across refresh ticks.  Row content only
-changes on TRH-crossing ACTs and locker deadlines, both of which the
-controller forces onto the scalar path -- therefore a digest verified
-at plan time stays valid for the whole planned run, and the bulk hook
-pair is bit-identical to the scalar loop (pinned by
+Engine equivalence: RADAR performs no refresh-window-scoped work, and
+its plans read no clock.  Row content only changes on TRH-crossing
+ACTs and locker deadlines, both of which the controller forces onto
+the scalar path -- therefore a digest verified at plan time stays
+valid for the whole planned run, refresh ticks included, and the bulk
+hook pair is bit-identical to the scalar loop (pinned by
 ``tests/test_engine_equivalence.py``).
 """
 
@@ -253,13 +252,10 @@ class Radar(Defense):
         quiet = self.scrub_interval - 1 - (self._acts % self.scrub_interval)
         group = self._row_group.get(row)
         if group is None:
-            return RunAction(max(0, min(limit, quiet)), fuse_ticks=True)
+            return RunAction(max(0, min(limit, quiet)))
         if self._group_digest(group.rows) != group.digest:
             return RunAction(0)
-        return RunAction(
-            max(0, min(limit, quiet)), extra_ns=self.check_ns,
-            fuse_ticks=True,
-        )
+        return RunAction(max(0, min(limit, quiet)), extra_ns=self.check_ns)
 
     def on_activate_run(
         self, row: int, count: int, now_ns: float, step_ns: float

@@ -37,9 +37,24 @@ class RefreshEngine:
 
     def quiet_steps(self, now_ns: float, step_ns: float) -> int:
         """How many ``step_ns``-sized steps fit before the next REF is
-        due, with the one-step safety margin the bulk engine uses to
-        keep every refresh tick on the scalar path."""
+        due, with a one-step safety margin: an ACT epoch at most this
+        long meets no REF, so the bulk engine commits it without
+        locating ticks."""
         return int((self.next_ref_ns - now_ns) / step_ns) - 1
+
+    def wraps_by(self, now_ns: float) -> bool:
+        """Whether ``tick(now_ns)`` would complete a refresh window: one
+        of the REFs due by then refreshes the last slice and wraps the
+        walker (``cursor + rows_per_ref >= total_rows``)."""
+        total = self.device.config.total_rows
+        cursor = self.cursor
+        due = self.next_ref_ns
+        while now_ns >= due:
+            cursor += self.rows_per_ref
+            if cursor >= total:
+                return True
+            due += self.device.timing.trefi
+        return False
 
     def _refresh_slice(self) -> None:
         device = self.device

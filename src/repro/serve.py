@@ -21,10 +21,13 @@ Subcommands:
   :class:`~repro.serving.live.LiveServer` at ``--speedup`` x the
   recorded arrival rate.
 
-Exit codes (pinned by ``tests/test_serving_live.py``): 0 success,
-1 verification mismatch, 2 usage error (argparse), 3 runtime serving
-failure (:class:`~repro.serving.live.LiveServingError` -- worker
-death, queue wedge).  ``--log-level`` turns on structured jsonl
+Exit codes (pinned by ``tests/test_serving_live.py`` and
+``tests/test_cli_and_examples.py``): 0 success, 1 verification
+mismatch, 2 usage error (argparse; or, as one stderr line, a path that
+cannot be opened or a trace whose bytes do not parse --
+:class:`~repro.serving.trace.TraceFormatError`), 3 runtime serving
+failure (:class:`~repro.serving.live.LiveServingError` -- worker death,
+queue wedge).  ``--log-level`` turns on structured jsonl
 logging to stderr (:mod:`repro.obs.logging`); it never changes the
 stdout payload or the exit code.
 """
@@ -35,6 +38,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import sys
 
 from .obs.logging import LOG_LEVELS, configure_logging
 from .serving import (
@@ -43,6 +47,7 @@ from .serving import (
     ServingConfig,
     ServingResult,
     Trace,
+    TraceFormatError,
     record_serving_trace,
     replay_neutral,
     serve,
@@ -286,6 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     logger.info("command=%s", args.command)
     try:
         code = args.func(args)
+    except (OSError, TraceFormatError) as error:
+        # A path that cannot be opened or a trace that does not parse
+        # is a usage error, distinct from exit 1 (the replay diverged).
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except LiveServingError as error:
         # Distinct from exit 1 (verification mismatch): the serving
         # machinery itself failed -- worker death, wedged queue.

@@ -46,6 +46,7 @@ from .sla import (
 from .trace import (
     TRACE_SCHEMA,
     Trace,
+    TraceFormatError,
     TraceOp,
     record_workload,
     requests_equal,
@@ -86,6 +87,7 @@ __all__ = [
     "TenantSink",
     "TenantSpec",
     "Trace",
+    "TraceFormatError",
     "TraceOp",
     "VictimHealthMonitor",
     "VictimTenant",

@@ -23,7 +23,8 @@ generation order and replaying a trace at infinite speedup visits ops
 in exactly the closed-loop order -- the precondition for the
 replay-equivalence contract pinned in ``tests/test_serving_live.py``.
 Both encodings round-trip every field exactly (float64 timestamps
-included), so ``Trace.load(path) == trace`` holds bit-for-bit.
+included), so ``Trace.load(path) == trace`` holds bit-for-bit.  Bytes
+that do not parse as a trace raise :class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "DEFAULT_SLICE_DURATION_S",
     "TraceOp",
     "Trace",
+    "TraceFormatError",
     "record_workload",
     "requests_equal",
 ]
@@ -53,6 +55,12 @@ TRACE_SCHEMA = "dram-locker-serving-trace/1"
 #: Fallback slice duration when the recorder is given no calibration:
 #: 1 ms of trace time per slice.
 DEFAULT_SLICE_DURATION_S = 1e-3
+
+
+class TraceFormatError(ValueError):
+    """A trace file's bytes are not a trace of :data:`TRACE_SCHEMA`:
+    an unknown suffix, an unreadable encoding, a foreign schema, or a
+    missing or mistyped field."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +211,31 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
-        """Read a trace written by :meth:`save` (suffix-dispatched)."""
+        """Read a trace written by :meth:`save` (suffix-dispatched).
+
+        Raises :class:`TraceFormatError` when the bytes do not parse as
+        a trace; a file that cannot be opened raises its ``OSError``.
+        """
         path = Path(path)
-        if path.suffix == ".npz":
-            return cls._load_npz(path)
-        if path.suffix == ".jsonl":
-            return cls._load_jsonl(path)
-        raise ValueError(
-            f"unknown trace suffix {path.suffix!r}; use .npz or .jsonl"
-        )
+        readers = {".npz": cls._load_npz, ".jsonl": cls._load_jsonl}
+        reader = readers.get(path.suffix)
+        if reader is None:
+            raise TraceFormatError(
+                f"unknown trace suffix {path.suffix!r}; use .npz or .jsonl"
+            )
+        try:
+            return reader(path)
+        except (OSError, TraceFormatError):
+            raise
+        except Exception as error:
+            # Foreign bytes raise many types -- BadZipFile, zlib.error,
+            # EOFError, NotImplementedError, JSONDecodeError, KeyError
+            # among them on truncated or bit-flipped traces; callers see
+            # one, with the cause chained.
+            raise TraceFormatError(
+                f"{path}: not a {path.suffix} trace "
+                f"({type(error).__name__}: {error})"
+            ) from error
 
     def _header(self) -> dict:
         return {
@@ -226,7 +250,7 @@ class Trace:
     def _check_header(header: dict, path: Path) -> dict:
         schema = header.get("schema")
         if schema != TRACE_SCHEMA:
-            raise ValueError(
+            raise TraceFormatError(
                 f"{path}: unknown trace schema {schema!r} "
                 f"(expected {TRACE_SCHEMA!r})"
             )

@@ -13,7 +13,10 @@ state while reducing the stream to one ``RunSummary``.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.defenses import PARA
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
@@ -429,6 +432,239 @@ def test_defense_plus_locker_batch_matches_scalar(name):
     assert locker_a.rw_instructions == locker_b.rw_instructions
     assert locker_a.blocked_requests == locker_b.blocked_requests
     assert locker_a.exposed == locker_b.exposed
+
+
+# ----------------------------------------------------------------------
+# Generated: scalar == bulk == events across refresh-window boundaries
+# ----------------------------------------------------------------------
+#: ``None`` is an undefended controller; ``"DRAM-Locker"`` installs the
+#: locker in the controller's locker slot, every other name a Defense.
+WINDOW_SYSTEMS = [None, *sorted(DEFENSE_BUILDERS)]
+#: Rows the first run of a burst hammers: never locked, so every ACT
+#: costs at least one tRC and the run reaches the window's last REF.
+FREE_ROWS = (10, 11, 49, 50, 51)
+HAMMER_ROWS = (9, 10, 11, 21, 49, 50, 51)
+#: The row the long gap READs stream from.
+GAP_ROW = 100
+#: Slack between a gap READ's planned end and the burst's lead, for the
+#: defense latency the READ's own ACT may add.
+GAP_SLACK_NS = 1000.0
+
+
+def build_window_system(name, engine, trh):
+    config = DRAMConfig.tiny()
+    vulnerability = VulnerabilityMap(config, seed=5, weak_cell_fraction=1e-4)
+    device = DRAMDevice(config, vulnerability=vulnerability, trh=trh)
+    builder = DEFENSE_BUILDERS[name] if name is not None else None
+    defense = builder() if builder is not None else None
+    locker = None
+    if name == "DRAM-Locker":
+        locker = DRAMLocker(
+            device,
+            LockerConfig(copy_error_rate=0.05, relock_interval=150, seed=7),
+        )
+        locker.lock_rows([9, 21])
+    controller = MemoryController(
+        device, defense=defense, locker=locker, engine=engine
+    )
+    device.vulnerability.register_template(10, [3])
+    device.vulnerability.register_template(49, [2])
+    return device, controller, defense, locker
+
+
+def window_gap(device, window: int, lead_ns: float) -> list[MemRequest]:
+    """One READ long enough to bring the clock to ``lead_ns`` (plus
+    slack) before the REF that completes refresh window ``window``
+    (1-based); none if the clock is already past that point."""
+    refresh = device.refresh
+    timing = device.timing
+    refs = -(-device.config.total_rows // refresh.rows_per_ref)
+    target = window * refs * timing.trefi - lead_ns - GAP_SLACK_NS
+    fixed = timing.trp + timing.trcd + timing.tcl + timing.tbl
+    gap = target - device.now_ns - fixed
+    if gap < timing.tccd:
+        return []
+    bursts = 1 + int(gap / timing.tccd)
+    return [MemRequest(Kind.READ, GAP_ROW, size=64 * bursts, privileged=True)]
+
+
+@st.composite
+def window_bursts(draw):
+    """Bursts that straddle refresh-window ends: each starts ``lead``
+    ACTs before the window's last REF with a run of a free row longer
+    than the lead, then interleaves runs of other rows (locked ones
+    included, some privileged) and privileged reads."""
+    bursts = []
+    for _ in range(draw(st.integers(2, 3))):
+        lead = draw(st.integers(0, 300))
+        runs = [
+            (
+                draw(st.sampled_from(FREE_ROWS)),
+                lead + 30 + draw(st.integers(0, 400)),
+                False,
+            )
+        ]
+        for _ in range(draw(st.integers(0, 3))):
+            row = draw(st.sampled_from(HAMMER_ROWS))
+            if draw(st.integers(0, 4)) == 0:
+                runs.append((row, 0, True))  # a privileged READ
+            else:
+                runs.append(
+                    (
+                        row,
+                        draw(st.integers(1, 400)),
+                        draw(st.integers(0, 7)) == 0,
+                    )
+                )
+        bursts.append((lead, runs))
+    return bursts
+
+
+def burst_requests(runs) -> list[MemRequest]:
+    requests = []
+    for row, length, privileged in runs:
+        if length == 0:
+            requests.append(MemRequest(Kind.READ, row, privileged=True))
+        else:
+            requests += [MemRequest(Kind.ACT, row, privileged=privileged)] * length
+    return requests
+
+
+def window_state(device, defense, locker) -> dict:
+    """Device, refresh walker, defense and locker state, comparable."""
+    refresh = device.refresh
+    return {
+        "stats": device.stats.as_dict(),
+        "now_ns": device.now_ns,
+        "counters": dict(device.rowhammer.counters),
+        "walker": (
+            refresh.cursor, refresh.next_ref_ns, refresh.windows_completed
+        ),
+        "rows": [device.peek_row(row).tobytes() for row in (9, 10, 11, 49, 50)],
+        "defense": None if defense is None else defense_state(defense),
+        "locker": None if locker is None else (
+            locker.table.snapshot(),
+            locker.table.lookups,
+            locker.table.hits,
+            locker.rw_instructions,
+            locker.blocked_requests,
+            locker.unlock_swaps,
+            locker.exposed,
+            locker.swap_engine.rng.bit_generator.state,
+        ),
+    }
+
+
+def summary_of(results) -> tuple:
+    """The in-order reduction a RunSummary holds, from scalar results."""
+    latency = defense_ns = 0.0
+    flips = []
+    for result in results:
+        latency += result.latency_ns
+        defense_ns += result.defense_ns
+        flips.extend(result.flips)
+    return (
+        sum(1 for r in results if not r.blocked),
+        sum(1 for r in results if r.blocked),
+        latency,
+        defense_ns,
+        [(f.row, f.bit, f.time_ns) for f in flips],
+    )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    name=st.sampled_from(WINDOW_SYSTEMS),
+    trh=st.sampled_from((64, 400, 4096, 10**6)),
+    bursts=window_bursts(),
+)
+# Shrunk counterexamples with the window stop removed from the fused
+# epoch: a Counter/Row run of row 10 crosses the REF that completes the
+# window, and the ACTs fused past it count into the old window's table.
+@example(
+    name="Counter/Row", trh=64,
+    bursts=[(0, [(10, 30, False)]), (0, [(10, 30, False)])],
+)
+@example(
+    name="Counter/Row", trh=64,
+    bursts=[(0, [(10, 55, False)]), (0, [(10, 30, False)])],
+)
+def test_generated_window_boundaries_all_engines_agree(name, trh, bursts):
+    """Runs that cross the REF completing a refresh window: the fused
+    epoch must stop before that ACT, so window-scoped defense state
+    (count tables, swap budgets, prune lists) resets exactly where the
+    scalar loop resets it.  State is compared after every burst: a
+    later window reset would otherwise wipe a divergence."""
+    scalar = build_window_system(name, "scalar", trh)
+    bulk = build_window_system(name, "bulk", trh)
+    events = build_window_system(name, "events", trh)
+    trc = scalar[0].timing.trc
+    for window, (lead, runs) in enumerate(bursts, start=1):
+        requests = window_gap(scalar[0], window, lead * trc)
+        requests += burst_requests(runs)
+
+        scalar_results = [scalar[1].execute(r) for r in requests]
+        bulk_results = bulk[1].execute_batch(requests)
+        summary = events[1].execute_summary(requests)
+
+        assert_results_equal(scalar_results, bulk_results)
+        assert (
+            summary.issued,
+            summary.blocked,
+            summary.latency_ns,
+            summary.defense_ns,
+            [(f.row, f.bit, f.time_ns) for f in summary.flips],
+        ) == summary_of(scalar_results)
+        reference = window_state(scalar[0], *scalar[2:])
+        assert window_state(bulk[0], *bulk[2:]) == reference
+        assert window_state(events[0], *events[2:]) == reference
+    assert scalar[0].refresh.windows_completed >= 2
+
+
+# ----------------------------------------------------------------------
+# Work counts: the committed spans do not grow with the REFs crossed
+# ----------------------------------------------------------------------
+def defended_run_work(name: str, refs: int) -> tuple[int, int]:
+    """(committed spans, scalar steps) of one single-row run of a
+    defended bulk controller across ``refs`` refresh ticks, with every
+    threshold above the run length and no window completed."""
+    config = DRAMConfig.tiny()
+    device = DRAMDevice(config, trh=10**6)
+    controller = MemoryController(
+        device, defense=DEFENSE_BUILDERS[name](), engine="bulk"
+    )
+    count = int(refs * device.timing.trefi / device.timing.trc)
+    controller.results_log_enabled = True  # logs only the scalar steps
+    with obs.enabled_scope() as tel:
+        controller.execute_run(MemRequest(Kind.ACT, 50), count)
+        metrics = tel.metrics.snapshot()["counters"]
+    assert device.refresh.windows_completed == 0
+    assert device.stats.refreshes >= refs - 1
+    spans = sum(
+        metrics.get(f"{metric}{{engine=bulk}}", 0)
+        for metric in (
+            "controller.act_runs",
+            "controller.fused_epochs",
+            "controller.epoch_leaps",
+        )
+    )
+    return spans, len(controller.results)
+
+
+@pytest.mark.parametrize("name", ["TRR", "Graphene", "Hydra"])
+def test_defended_run_work_does_not_grow_with_refresh_ticks(name):
+    """A planned span commits as one fused epoch however many REFs it
+    crosses; a per-tick chunk and scalar ACT would show here as work
+    that grows with the run, though every equivalence test passes."""
+    short = defended_run_work(name, 10)
+    long = defended_run_work(name, 40)
+    assert long == short
+    assert short[0] <= 2 and short[1] <= 2
 
 
 def test_hammer_run_blocked_path_is_summary_only():

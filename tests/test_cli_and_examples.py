@@ -68,3 +68,60 @@ class TestCLI:
         assert err.count("usage: ") == 1
         assert "argument --shard: " in err and repr(shard) in err
         assert "Traceback" not in err
+
+
+class TestServeBadTrace:
+    """``python -m repro.serve replay|live`` on a trace file that cannot
+    be read or parsed: one stderr line and exit 2 (usage), never a
+    traceback and never exit 1, which means "replay diverged"."""
+
+    @staticmethod
+    def _write(tmp_path, case):
+        import json
+
+        from repro.serving import TRACE_SCHEMA
+
+        if case == "seven-byte-npz":
+            path = tmp_path / "trace.npz"
+            path.write_bytes(b"garbage")
+        elif case == "random-jsonl":
+            path = tmp_path / "trace.jsonl"
+            path.write_bytes(bytes(range(0x80, 0xC0)))  # 64 non-UTF-8 bytes
+        elif case == "header-only-jsonl":
+            path = tmp_path / "trace.jsonl"
+            path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n")
+        else:
+            path = tmp_path / "missing.npz"
+        return path
+
+    CASES = ["seven-byte-npz", "random-jsonl", "header-only-jsonl", "missing"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_trace_load_raises_one_typed_error(self, case, tmp_path):
+        from repro.serving import Trace, TraceFormatError
+
+        path = self._write(tmp_path, case)
+        expected = FileNotFoundError if case == "missing" else TraceFormatError
+        with pytest.raises(expected) as error:
+            Trace.load(path)
+        assert str(path) in str(error.value)
+        assert issubclass(TraceFormatError, ValueError)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize(
+        "command", [["replay"], ["live", "--speedup", "10"]]
+    )
+    def test_bad_trace_exits_2_with_one_line(
+        self, command, case, tmp_path, capsys
+    ):
+        from repro.serve import main as serve_main
+
+        path = self._write(tmp_path, case)
+        argv = [command[0], str(path), *command[1:]]
+        assert serve_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path.name in lines[0]
+        assert "Traceback" not in captured.err
