@@ -27,11 +27,8 @@ import argparse
 import os
 
 from repro.eval import Scale, Scenario, run_matrix
-from repro.eval.harness import (
-    attack_prewarm,
-    attack_scenarios,
-    shutdown_worker_pool,
-)
+from repro.eval.fleet import shutdown_worker_pool
+from repro.eval.harness import attack_prewarm, attack_scenarios
 from repro.eval.recorder import best_of, recording, refuse
 from repro.eval.regression import ATTACK_SEARCH_SCHEMA
 

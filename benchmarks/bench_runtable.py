@@ -36,7 +36,8 @@ import sys
 import tempfile
 import time
 
-from repro.eval.harness import SupervisorConfig, run_matrix
+from repro.eval.fleet import SupervisorConfig
+from repro.eval.harness import run_matrix
 from repro.eval.recorder import recording, refuse
 from repro.eval.regression import RUNTABLE_BENCH_SCHEMA, load_artifact
 from repro.eval.runtable import RUNTABLE_SETS, run_table

@@ -15,8 +15,8 @@ Run with:  python examples/compare_defenses.py [--workers N]
 import argparse
 
 from repro.defenses import format_table1
+from repro.defenses.builders import DEFENSE_BUILDERS
 from repro.eval import Scale, Scenario, format_table, run_matrix
-from repro.eval.harness import DEFENSE_BUILDERS
 
 TRH = 400
 

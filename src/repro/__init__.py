@@ -39,6 +39,14 @@ The package is organised as one subpackage per subsystem:
 The stable, user-facing API is re-exported from :mod:`repro.core`.
 """
 
+import logging
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+# The library convention: ``repro`` loggers stay silent until an
+# application configures logging (the CLIs' ``--log-level``).  Without
+# a handler here, a record at WARNING or above would reach Python's
+# last-resort stderr handler.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

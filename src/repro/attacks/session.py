@@ -290,12 +290,6 @@ class SearchSession:
             len(after),
         )
 
-    def state_digest(self) -> bytes | None:
-        """Digest of the current weight state (``None`` on the
-        reference engine, which never memoizes)."""
-        self.refresh()
-        return self._digest
-
     def _cache_for(self, x: np.ndarray) -> PrefixActivationCache:
         """The prefix cache of ``x``.  In a matrix scope it reads
         through the scope's store, keyed by the structure, the starting

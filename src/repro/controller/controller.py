@@ -677,13 +677,12 @@ class MemoryController:
             engine = self.engine
             if leap:
                 tel.metrics.inc("controller.epoch_leaps", engine=engine)
-                tel.metrics.inc("controller.act_runs", engine=engine)
-                tel.metrics.set(
-                    "controller.defense_ns", stats.defense_ns, engine=engine
-                )
             else:
                 tel.metrics.inc("controller.fused_epochs", engine=engine)
             tel.metrics.inc("controller.acts", committed, engine=engine)
+            tel.metrics.set(
+                "controller.defense_ns", stats.defense_ns, engine=engine
+            )
 
         stats.activates += committed
         stats.precharges += committed

@@ -1,15 +1,11 @@
-"""Canonical defense-factory tables, shared across the stack.
-
-These dicts used to live in ``eval/harness.py``; the serving facade
-(`repro.serving.serve`) now needs them too, and importing the harness
-from the serving package would be circular -- so the tables live here
-and the harness re-exports the *same dict objects* (callers that
-monkeypatch ``harness.DEFENDED_HAMMER_DEFENSES`` keep working).
+"""Canonical defense-factory tables, shared across the stack: the
+scenario runners (:mod:`repro.eval.runners`), the serving facade
+(`repro.serving.serve`) and the attack matrix read them here.
 
 Two tables, two operating points:
 
 * ``DEFENSE_BUILDERS`` -- tuned for the TRH=400 per-ACT campaign of
-  ``_run_defense_campaign`` / ``examples/compare_defenses.py``.
+  the ``defense_campaign`` runner / ``examples/compare_defenses.py``.
 * ``DEFENDED_HAMMER_DEFENSES`` -- thresholds left unset so each
   defense derives its operating point from the device's TRH at attach
   time (the defended-hammer workload and the serving matrix).

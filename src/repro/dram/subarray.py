@@ -56,10 +56,6 @@ class Subarray:
             byte_index, bit_index = divmod(int(bit), 8)
             row[byte_index] ^= np.uint8(1 << bit_index)
 
-    def allocated_rows(self) -> list[int]:
-        """Local indices of rows that have been materialized."""
-        return sorted(self._rows)
-
     def _check(self, local_row: int) -> None:
         if not 0 <= local_row < self.config.rows_per_subarray:
             raise ValueError(f"local row {local_row} out of range")
@@ -73,10 +69,3 @@ class Bank:
         self.subarrays = [Subarray(config) for _ in range(config.subarrays_per_bank)]
         #: Global row index currently latched in the row buffer, if any.
         self.open_row: int | None = None
-
-    def subarray_of(self, local_bank_row: int) -> tuple[Subarray, int]:
-        """Map a bank-local row number to ``(subarray, subarray-local row)``."""
-        if not 0 <= local_bank_row < self.config.rows_per_bank:
-            raise ValueError(f"bank row {local_bank_row} out of range")
-        index, local = divmod(local_bank_row, self.config.rows_per_subarray)
-        return self.subarrays[index], local

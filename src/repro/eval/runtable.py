@@ -42,11 +42,11 @@ from dataclasses import dataclass, field, replace
 
 from .. import obs
 from .faults import FaultPlan, FaultSpec
+from .fleet import SupervisorConfig
 from .harness import (
     Scale,
     Scenario,
     ScenarioResult,
-    SupervisorConfig,
     artifact_tag,
     run_matrix,
     scenario_result_payload,
@@ -57,6 +57,7 @@ __all__ = [
     "RUNTABLE_SCHEMA",
     "RunTableSpec",
     "CheckpointJournal",
+    "JournalFormatError",
     "RunTableResult",
     "run_table",
     "summarize_groups",
@@ -73,7 +74,7 @@ class RunTableSpec:
 
     Attributes:
         name: Table name; prefixes every cell name and the artifact.
-        runner: Key into the harness's ``SCENARIO_RUNNERS``.
+        runner: Key into :data:`repro.eval.runners.SCENARIO_RUNNERS`.
         axes: ``(factor, (level, ...))`` pairs.  Cells are the full
             Cartesian product; factor order inside a cell name is
             sorted, so the cell list is independent of declaration
@@ -87,7 +88,7 @@ class RunTableSpec:
             extra params merged into cells whose *name* matches --
             how a chaos table gives one cell a channel fault.
         timeout_s / retries: Per-cell supervision policy (see
-            :class:`~repro.eval.harness.SupervisorConfig`).
+            :class:`~repro.eval.fleet.SupervisorConfig`).
     """
 
     name: str
@@ -147,6 +148,12 @@ class RunTableSpec:
         return cells
 
 
+class JournalFormatError(ValueError):
+    """A checkpoint journal line before the final one that is not a
+    record: undecodable bytes, bad JSON, or not a JSON object with a
+    string ``cell`` and a ``result``."""
+
+
 class CheckpointJournal:
     """Append-only jsonl checkpoint: one fsync'd record per cell.
 
@@ -155,7 +162,8 @@ class CheckpointJournal:
     (:func:`~repro.eval.harness.scenario_result_payload`), so merging
     journal records reproduces an uninterrupted artifact bit-for-bit.
     A torn final line (the process died mid-write) is tolerated on
-    load; a torn line anywhere else is corruption and raises.
+    load; a bad line anywhere else is corruption and raises
+    :class:`JournalFormatError`.
     """
 
     def __init__(self, path: str):
@@ -164,36 +172,38 @@ class CheckpointJournal:
     def load(self, repair: bool = False) -> dict[str, dict]:
         """Completed-cell records by cell name (empty if no journal).
 
-        ``repair=True`` truncates a torn final line off the file --
-        required before appending to a journal left by a killed run,
-        or the torn fragment would end up mid-file.
+        :meth:`append` writes a record and its newline in one write, so
+        an unterminated final line is a record torn by a mid-write
+        crash: it is dropped, and ``repair=True`` truncates it off the
+        file -- required before appending to a journal left by a killed
+        run, or the torn fragment would end up mid-file.
         """
         if not os.path.exists(self.path):
             return {}
         records: dict[str, dict] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        lines = text.splitlines(keepends=True)
-        valid_bytes = 0
-        for lineno, line in enumerate(lines):
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        *lines, torn = data.split(b"\n")
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
-                valid_bytes += len(line.encode("utf-8"))
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # Torn tail from a mid-write crash.
-                    if repair:
-                        with open(self.path, "a", encoding="utf-8") as out:
-                            out.truncate(valid_bytes)
-                    break
-                raise ValueError(
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:  # undecodable bytes or bad JSON
+                record = None
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("cell"), str)
+                and "result" in record
+            ):
+                raise JournalFormatError(
                     f"corrupt journal {self.path}: bad record at line "
-                    f"{lineno + 1} (only the final line may be torn)"
+                    f"{lineno} (only the final line may be torn)"
                 )
             records[record["cell"]] = record
-            valid_bytes += len(line.encode("utf-8"))
+        if torn and repair:
+            with open(self.path, "r+b") as out:
+                out.truncate(len(data) - len(torn))
         return records
 
     def append(self, record: dict) -> None:
@@ -679,17 +689,23 @@ def main(argv: list[str] | None = None) -> int:
         for cell in _shard_of(spec.cells(), shard_index, shard_count):
             print(f"{cell.name}  seed={cell.resolved_seed(args.base_seed)}")
         return 0
-    result = run_table(
-        spec,
-        args.out,
-        base_seed=args.base_seed,
-        workers=args.workers,
-        resume=args.resume,
-        shard=(shard_index, shard_count),
-        tag=args.tag,
-        faults=faults,
-        profile_dir=args.out if args.profile else None,
-    )
+    try:
+        result = run_table(
+            spec,
+            args.out,
+            base_seed=args.base_seed,
+            workers=args.workers,
+            resume=args.resume,
+            shard=(shard_index, shard_count),
+            tag=args.tag,
+            faults=faults,
+            profile_dir=args.out if args.profile else None,
+        )
+    except (JournalFormatError, OSError) as error:
+        # A journal or output path that cannot be read or parsed is a
+        # usage error, like a bad --shard: one line, no traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(
         f"run-table {spec.name}: {result.cells} cell(s) "
         f"({result.executed} executed, {result.resumed} resumed, "

@@ -72,16 +72,6 @@ class LockTable:
             self.hits += 1
         return hit
 
-    def is_locked_many(self, rows) -> list[bool]:
-        """Batched controller-path lookup: one call, ``len(rows)`` counted
-        lookups -- the SRAM port is pipelined, so the batch engine charges
-        the same per-lookup latency without one Python call per request."""
-        locked = self._locked
-        verdicts = [row in locked for row in rows]
-        self.lookups += len(verdicts)
-        self.hits += sum(verdicts)
-        return verdicts
-
     def charge_lookups(self, count: int, hits: int) -> None:
         """Account ``count`` lookups (``hits`` of them hits) performed by
         a bulk path that already knows the verdicts."""

@@ -7,7 +7,7 @@ from typing import Hashable, Iterator
 import numpy as np
 
 from . import memo
-from .functional import cross_entropy, cross_entropy_grad, softmax
+from .functional import cross_entropy, cross_entropy_grad
 from .layers import (
     Conv2d,
     Layer,
@@ -233,15 +233,3 @@ class Model:
     ) -> float:
         """Top-1 accuracy in percent."""
         return float(100.0 * (self.predict(x, batch) == labels).mean())
-
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
-        with no_backward():
-            return softmax(self.forward(x))
-
-    # ------------------------------------------------------------------
-    # Activation caching (the attack-search fast path)
-    # ------------------------------------------------------------------
-    def activation_cache(self, x: np.ndarray) -> PrefixActivationCache:
-        """A :class:`PrefixActivationCache` for one input batch; raises
-        ``TypeError`` for non-Sequential nets."""
-        return PrefixActivationCache(self.net, x)

@@ -109,12 +109,6 @@ class QuantizedModel:
         self.tensors[name].flip_bit(flat_index, bit)
         self.load_into_model()
 
-    def total_weight_bits(self) -> int:
-        return sum(tensor.bits for tensor in self.tensors.values())
-
-    def total_weights(self) -> int:
-        return sum(tensor.q.size for tensor in self.tensors.values())
-
     # ------------------------------------------------------------------
     # Snapshots (for repeated attacks from a clean model)
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ paths touch.  The zero-overhead-when-disabled contract:
 
     tel = obs.ACTIVE
     if tel is not None:
-        tel.metrics.inc("controller.act_runs", engine=self.engine)
+        tel.metrics.inc("controller.acts", engine=self.engine)
 
 One module-attribute load and a ``None`` test on the disabled path,
 nothing else -- no function call, no dict lookup, no import.

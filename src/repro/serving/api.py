@@ -126,10 +126,6 @@ class ServingResult:
         """One tenant's SLA report."""
         return self.sla["tenants"][name]
 
-    def latency_p99_ns(self, tenant: str = "tenant-0") -> float:
-        """A tenant's served-request p99 *service* latency."""
-        return self.tenant(tenant)["latency_ns"]["p99"]
-
     def sojourn_p99_ns(self, tenant: str = "tenant-0") -> float | None:
         """A tenant's p99 *sojourn* (arrival-to-completion, replay
         runs only; ``None`` for closed-loop payloads)."""

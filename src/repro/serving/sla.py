@@ -262,14 +262,6 @@ class SLAAccountant:
             return None
         return books.sojourn.percentile(99.0)
 
-    def shed_counts(self) -> dict[str, dict[str, int]]:
-        """Per-tenant shed tallies by reason (empty when nothing shed)."""
-        return {
-            name: dict(sorted(books.shed.items()))
-            for name, books in sorted(self._tenants.items())
-            if books.shed
-        }
-
     def _books(self, tenant: str) -> _TenantBooks:
         books = self._tenants.get(tenant)
         if books is None:

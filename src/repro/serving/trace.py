@@ -188,10 +188,6 @@ class Trace:
             self._by_slice = by_slice
         return self._by_slice[index]
 
-    def request_count(self) -> int:
-        """Total requests across all ops (runs count their length)."""
-        return sum(len(op.requests) for op in self.ops)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

@@ -90,11 +90,6 @@ class TenantSpec:
         if not 0.0 <= self.read_fraction + self.write_fraction <= 1.0:
             raise ValueError("read + write fractions must be within [0, 1]")
 
-    @property
-    def inference_fraction(self) -> float:
-        """Remainder of the op mix assigned to inference bursts."""
-        return 1.0 - self.read_fraction - self.write_fraction
-
 
 @dataclass(frozen=True)
 class WorkloadConfig:

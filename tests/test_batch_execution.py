@@ -21,7 +21,7 @@ from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.defenses import PARA
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.dram.stats import walk_add, walk_add_many
-from repro.eval.harness import DEFENSE_BUILDERS
+from repro.defenses.builders import DEFENSE_BUILDERS
 from repro.locker import DRAMLocker, LockerConfig
 
 
@@ -647,11 +647,7 @@ def defended_run_work(name: str, refs: int) -> tuple[int, int]:
     assert device.stats.refreshes >= refs - 1
     spans = sum(
         metrics.get(f"{metric}{{engine=bulk}}", 0)
-        for metric in (
-            "controller.act_runs",
-            "controller.fused_epochs",
-            "controller.epoch_leaps",
-        )
+        for metric in ("controller.fused_epochs", "controller.epoch_leaps")
     )
     return spans, len(controller.results)
 
@@ -665,6 +661,23 @@ def test_defended_run_work_does_not_grow_with_refresh_ticks(name):
     long = defended_run_work(name, 40)
     assert long == short
     assert short[0] <= 2 and short[1] <= 2
+
+
+def test_fused_defended_run_records_defense_time():
+    """A run that commits only fused epochs (no epoch leap) still sets
+    the ``controller.defense_ns`` gauge: every commit records it."""
+    device = DRAMDevice(DRAMConfig.tiny(), trh=2000)
+    controller = MemoryController(
+        device, defense=DEFENSE_BUILDERS["Hydra"](), engine="bulk"
+    )
+    with obs.enabled_scope() as tel:
+        controller.execute_run(MemRequest(Kind.ACT, 50), 3000)
+        snapshot = tel.metrics.snapshot()
+    counters = snapshot["counters"]
+    assert counters["controller.fused_epochs{engine=bulk}"] > 0
+    assert "controller.epoch_leaps{engine=bulk}" not in counters
+    gauge = snapshot["gauges"].get("controller.defense_ns{engine=bulk}")
+    assert gauge is not None and 0.0 < gauge <= device.stats.defense_ns
 
 
 def test_hammer_run_blocked_path_is_summary_only():

@@ -69,6 +69,41 @@ class TestCLI:
         assert "argument --shard: " in err and repr(shard) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "journal",
+        [
+            b'{"cell": "a", "result": 1}\nnot json\n{"cell": "b", "result": 2}\n',
+            b'{"result": 1}\n',
+            b"[1, 2]\n",
+            b'{"cell": "a", "result": "\xff"}\n',
+            None,  # the journal path is a directory: OSError
+        ],
+        ids=["bad-middle-line", "no-cell", "not-an-object", "undecodable",
+             "unreadable"],
+    )
+    def test_bad_runtable_journal_exits_2(
+        self, journal, tmp_path, monkeypatch, capsys
+    ):
+        """``runtable --resume`` on a journal that cannot be read or
+        parsed: one stderr line and exit 2, before any cell runs."""
+        from repro.eval import runtable
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runtable, "run_matrix", no_cells)
+        path = tmp_path / "demo.journal.jsonl"
+        if journal is None:
+            path.mkdir()
+        else:
+            path.write_bytes(journal)
+        argv = ["runtable", "--set", "demo", "--out", str(tmp_path),
+                "--resume"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
 
 class TestServeBadTrace:
     """``python -m repro.serve replay|live`` on a trace file that cannot

@@ -37,22 +37,23 @@ def pristine_registries():
     """Docs snippets register demo attacks/defenses/runners; none of
     that may leak into the rest of the suite."""
     from repro.attacks import registry
-    from repro.eval import harness
+    from repro.defenses import builders
+    from repro.eval import runners
 
     saved = (
         dict(registry.ATTACKS),
-        dict(harness.DEFENDED_HAMMER_DEFENSES),
-        dict(harness.SCENARIO_RUNNERS),
+        dict(builders.DEFENDED_HAMMER_DEFENSES),
+        dict(runners.SCENARIO_RUNNERS),
     )
     try:
         yield
     finally:
         registry.ATTACKS.clear()
         registry.ATTACKS.update(saved[0])
-        harness.DEFENDED_HAMMER_DEFENSES.clear()
-        harness.DEFENDED_HAMMER_DEFENSES.update(saved[1])
-        harness.SCENARIO_RUNNERS.clear()
-        harness.SCENARIO_RUNNERS.update(saved[2])
+        builders.DEFENDED_HAMMER_DEFENSES.clear()
+        builders.DEFENDED_HAMMER_DEFENSES.update(saved[1])
+        runners.SCENARIO_RUNNERS.clear()
+        runners.SCENARIO_RUNNERS.update(saved[2])
 
 
 def test_docs_exist_and_are_linked():

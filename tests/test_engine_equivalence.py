@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.controller.controller import ENGINES
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
-from repro.eval.harness import DEFENDED_HAMMER_DEFENSES
+from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
 from repro.locker import DRAMLocker, LockerConfig
 from repro.serving import ServingConfig, run_serving
 

@@ -28,14 +28,12 @@ from repro.eval.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.eval.harness import (
-    Scale,
-    Scenario,
+from repro.eval.fleet import (
     SupervisorConfig,
     _POOL_STATE,
-    run_matrix,
     shutdown_worker_pool,
 )
+from repro.eval.harness import Scale, Scenario, run_matrix
 from repro.serving import (
     LiveServingError,
     LiveServer,

@@ -7,23 +7,23 @@ from collections import Counter
 import pytest
 
 from repro.attacks import available_attacks
+from repro.defenses.builders import DEFENSE_BUILDERS
 from repro.eval import (
     MatrixFailure,
     Scale,
     Scenario,
-    derive_seed,
     run_matrix,
     run_scenario,
 )
 from repro.eval.harness import (
-    DEFENSE_BUILDERS,
-    SCENARIO_RUNNERS,
     attack_scenarios,
     cheap_scenarios,
     quick_scenarios,
     smoke_scenarios,
 )
+from repro.eval.runners import SCENARIO_RUNNERS
 from repro.nn import make_dataset, memo
+from repro.seeds import derive_seed
 
 QUICK = Scale.quick()
 
@@ -270,10 +270,10 @@ class TestMatrixMemo:
     def test_worker_memo_lives_for_one_matrix(self, monkeypatch):
         """On a reused pool, each worker computes once per matrix (its
         first cell of the matrix) and hits after that."""
-        from repro.eval import harness
+        from repro.eval import fleet
 
-        monkeypatch.setitem(harness.SCENARIO_RUNNERS, "memo-probe", _memo_probe)
-        harness.shutdown_worker_pool()  # fork after the runner exists
+        monkeypatch.setitem(SCENARIO_RUNNERS, "memo-probe", _memo_probe)
+        fleet.shutdown_worker_pool()  # fork after the runner exists
         cells = [Scenario(f"probe-{i}", "memo-probe", QUICK) for i in range(4)]
         try:
             for _ in range(2):
@@ -282,7 +282,7 @@ class TestMatrixMemo:
                 misses = sum(not payload["hit"] for payload in payloads)
                 assert misses == len(workers)
         finally:
-            harness.shutdown_worker_pool()
+            fleet.shutdown_worker_pool()
 
 
 class TestCannedSets:
@@ -430,32 +430,32 @@ class TestDefendedHammerRunner:
 
 class TestPersistentPoolAndProfiling:
     def test_pool_persists_across_matrices(self):
-        from repro.eval import harness
+        from repro.eval import fleet
 
-        harness.shutdown_worker_pool()
+        fleet.shutdown_worker_pool()
         first = run_matrix(TINY_MATRIX, workers=2, tag="pp1")
         assert first.pool_startup_s > 0.0
-        pool = harness._POOL_STATE["pool"]
+        pool = fleet._POOL_STATE["pool"]
         assert pool is not None
         second = run_matrix(TINY_MATRIX, workers=2, tag="pp2")
         assert second.pool_startup_s == 0.0
-        assert harness._POOL_STATE["pool"] is pool
+        assert fleet._POOL_STATE["pool"] is pool
         assert (
             first.as_artifact()["results"] == second.as_artifact()["results"]
         )
         # A different worker count forces a rebuild.
         third = run_matrix(TINY_MATRIX, workers=3, tag="pp3")
         assert third.pool_startup_s > 0.0
-        assert harness._POOL_STATE["pool"] is not pool
-        harness.shutdown_worker_pool()
+        assert fleet._POOL_STATE["pool"] is not pool
+        fleet.shutdown_worker_pool()
 
     def test_serial_matrix_needs_no_pool(self):
-        from repro.eval import harness
+        from repro.eval import fleet
 
-        harness.shutdown_worker_pool()
+        fleet.shutdown_worker_pool()
         matrix = run_matrix(TINY_MATRIX[:2], workers=1, tag="serial")
         assert matrix.pool_startup_s == 0.0
-        assert harness._POOL_STATE["pool"] is None
+        assert fleet._POOL_STATE["pool"] is None
 
     def test_prewarm_runs_in_parent_and_is_timed(self):
         seen = []
@@ -493,7 +493,7 @@ class TestPersistentPoolAndProfiling:
         bitwise through multiprocessing.shared_memory."""
         import numpy as np
 
-        from repro.eval import harness
+        from repro.eval import fleet
         from repro.nn import cache as nncache
 
         saved = nncache.memory_cache_entries()
@@ -504,22 +504,22 @@ class TestPersistentPoolAndProfiling:
                 "buffer:b": np.ones(5, dtype=np.float32),
             }
             nncache.memory_cache_put("/cache/dir", "deadbeef", state)
-            manifest, segments = harness._export_shared_victims()
+            manifest, segments = fleet._export_shared_victims()
             nncache.memory_cache_clear()
             try:
-                harness._attach_shared_victims(manifest, unregister=False)
+                fleet._attach_shared_victims(manifest, unregister=False)
                 entries = nncache.memory_cache_entries()
                 attached = entries[("/cache/dir", "deadbeef")]
                 assert set(attached) == set(state)
                 for name, value in state.items():
                     assert np.array_equal(attached[name], value)
             finally:
-                for segment in harness._ATTACHED_SEGMENTS:
+                for segment in fleet._ATTACHED_SEGMENTS:
                     try:
                         segment.close()
                     except OSError:
                         pass
-                harness._ATTACHED_SEGMENTS.clear()
+                fleet._ATTACHED_SEGMENTS.clear()
                 for segment in segments:
                     segment.close()
                     segment.unlink()
@@ -537,35 +537,35 @@ class TestPersistentPoolAndProfiling:
 
         import numpy as np
 
-        from repro.eval import harness
+        from repro.eval import fleet
         from repro.nn import cache as nncache
 
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method here")
         monkeypatch.setattr(
-            harness.multiprocessing, "get_all_start_methods", lambda: [method]
+            fleet.multiprocessing, "get_all_start_methods", lambda: [method]
         )
         saved = nncache.memory_cache_entries()
-        harness.shutdown_worker_pool()
+        fleet.shutdown_worker_pool()
         nncache.memory_cache_clear()
         try:
             nncache.memory_cache_put(
                 "/cache/dir", "a", {"param:w": np.zeros(3, np.float32)}
             )
-            pool, _ = harness._acquire_pool(1)
+            pool, _ = fleet._acquire_pool(1)
             generation = nncache.memory_cache_generation()
             nncache.memory_cache_clear()
             assert nncache.memory_cache_generation() != generation
             nncache.memory_cache_put(
                 "/cache/dir", "b", {"param:w": np.ones(3, np.float32)}
             )
-            rebuilt, startup_s = harness._acquire_pool(1)
+            rebuilt, startup_s = fleet._acquire_pool(1)
             assert rebuilt is not pool and startup_s > 0.0
             entries = rebuilt.apply(nncache.memory_cache_entries)
             assert list(entries) == [("/cache/dir", "b")]
             assert np.array_equal(entries["/cache/dir", "b"]["param:w"], np.ones(3))
         finally:
-            harness.shutdown_worker_pool()
+            fleet.shutdown_worker_pool()
             nncache.memory_cache_clear()
             for (directory, key), value in saved.items():
                 nncache.memory_cache_put(directory, key, value)
@@ -597,10 +597,10 @@ class TestPersistentPoolAndProfiling:
                 nncache.memory_cache_put(directory, key, value)
 
     def test_failed_dispatch_drops_poisoned_pool(self, monkeypatch):
-        from repro.eval import harness
+        from repro.eval import fleet
         from repro.nn import cache as nncache
 
-        harness.shutdown_worker_pool()
+        fleet.shutdown_worker_pool()
 
         class PoisonedPool:
             def apply_async(self, fn, args):
@@ -615,7 +615,7 @@ class TestPersistentPoolAndProfiling:
             def join(self):
                 pass
 
-        harness._POOL_STATE.update(
+        fleet._POOL_STATE.update(
             pool=PoisonedPool(),
             method="fork",
             processes=2,
@@ -624,10 +624,10 @@ class TestPersistentPoolAndProfiling:
         with pytest.raises(RuntimeError, match="worker died"):
             run_matrix(TINY_MATRIX, workers=2, tag="poison")
         # The broken pool must not be reused by the next matrix.
-        assert harness._POOL_STATE["pool"] is None
+        assert fleet._POOL_STATE["pool"] is None
         recovered = run_matrix(TINY_MATRIX, workers=2, tag="recovered")
         assert not recovered.failures
-        harness.shutdown_worker_pool()
+        fleet.shutdown_worker_pool()
 
     def test_memory_env_knob_disables_memory_layer(self, monkeypatch, tmp_path):
         from repro.nn.cache import CACHE_ENV_VAR, MEMORY_ENV_VAR, VictimCache

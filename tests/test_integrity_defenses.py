@@ -28,7 +28,8 @@ from repro.controller import MemoryController
 from repro.defenses import DNNDefender, Radar
 from repro.defenses.builders import resolve_serving_defense
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
-from repro.eval.harness import _run_defense_bakeoff, bakeoff_scenarios
+from repro.eval.harness import bakeoff_scenarios
+from repro.eval.runners import _run_defense_bakeoff
 from repro.eval.experiments import Scale, run_attack_scenario
 from repro.eval.regression import BAKEOFF_SCHEMA, compare
 from repro.serving import HealthConfig

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.eval import Scale, Scenario
-from repro.eval.harness import SCENARIO_RUNNERS
+from repro.eval.runners import SCENARIO_RUNNERS
 from repro.eval.recorder import (
     best_of,
     engine_check,

@@ -21,12 +21,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.eval.faults import FaultPlan, FaultSpec
 from repro.eval.runtable import (
     RUNTABLE_SCHEMA,
     RUNTABLE_SETS,
     CheckpointJournal,
+    JournalFormatError,
     RunTableSpec,
     _merge_artifacts,
     _shard_of,
@@ -129,6 +132,18 @@ class TestJournal:
         with pytest.raises(ValueError, match="corrupt journal"):
             journal.load()
 
+    def test_unterminated_complete_record_is_torn(self, tmp_path):
+        """A crash after a record's last brace but before its newline:
+        the record is dropped, so the next append starts a line of its
+        own instead of running onto the fragment."""
+        journal = CheckpointJournal(str(tmp_path / "j.jsonl"))
+        journal.append({"cell": "a", "result": {}})
+        with open(journal.path, "a") as handle:
+            handle.write('{"cell": "b", "result": {}}')
+        assert set(journal.load(repair=True)) == {"a"}
+        journal.append({"cell": "c", "result": {}})
+        assert set(journal.load()) == {"a", "c"}
+
     def test_resume_after_repair_truncate_mid_shard(self, tmp_path):
         """A shard killed mid-write: its journal ends in a torn line.
         Resuming the same shard repairs the tear, re-executes only the
@@ -184,6 +199,103 @@ class TestJournal:
             ]
         )
         assert merged["results"] == full.artifact["results"]
+
+
+#: Generated journal corruption: fixed draws, no example database.
+GENERATED = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+#: Records shaped like run-table checkpoints, one an error result whose
+#: traceback holds newlines (escaped on disk).
+JOURNAL_RECORDS = [
+    {
+        "cell": f"tiny/channels={channels}/r{replicate}",
+        "runner": "serving",
+        "seed": 1000 * channels + replicate,
+        "wall_clock_s": 0.125 * (channels + replicate),
+        "result": {"served": [channels, replicate], "p99_ns": 1.5e4},
+    }
+    for channels in (1, 2)
+    for replicate in (0, 1)
+] + [
+    {
+        "cell": "tiny/channels=4/r0",
+        "runner": "serving",
+        "seed": 7,
+        "wall_clock_s": 0.5,
+        "result": {"error": "Traceback:\n  boom", "attempts": ["timeout"]},
+    }
+]
+
+
+@pytest.fixture(scope="module")
+def recorded_journal(tmp_path_factory) -> bytes:
+    journal = CheckpointJournal(
+        str(tmp_path_factory.mktemp("journal") / "recorded.jsonl")
+    )
+    for record in JOURNAL_RECORDS:
+        journal.append(record)
+    with open(journal.path, "rb") as handle:
+        return handle.read()
+
+
+@GENERATED
+@given(data=st.data())
+def test_truncated_journal_loads_a_prefix(recorded_journal, tmp_path, data):
+    """A journal cut at any byte loads the records whose lines are
+    whole, and ``repair=True`` leaves a file that loads the same."""
+    cut = data.draw(st.integers(0, len(recorded_journal)), label="cut")
+    kept = recorded_journal[:cut]
+    path = tmp_path / "cut.jsonl"
+    path.write_bytes(kept)
+    journal = CheckpointJournal(str(path))
+    expected = {
+        record["cell"]: record
+        for record in JOURNAL_RECORDS[: kept.count(b"\n")]
+    }
+    assert journal.load() == expected
+    assert journal.load(repair=True) == expected
+    assert path.read_bytes() == kept[: kept.rfind(b"\n") + 1]
+    assert journal.load() == expected
+
+
+@GENERATED
+@given(data=st.data())
+def test_flipped_journal_loads_or_raises_journal_format_error(
+    recorded_journal, tmp_path, data
+):
+    """Flipped bytes load as well-formed records or raise
+    :class:`JournalFormatError`, never another exception.  (A journal
+    carries no checksum: a flip inside a value can load as a different
+    record.)"""
+    flips = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(recorded_journal) - 1),
+                st.integers(1, 255),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        label="flips",
+    )
+    corrupt = bytearray(recorded_journal)
+    for position, mask in flips:
+        corrupt[position] ^= mask
+    path = tmp_path / "flipped.jsonl"
+    path.write_bytes(bytes(corrupt))
+    try:
+        records = CheckpointJournal(str(path)).load()
+    except JournalFormatError:
+        return
+    for cell, record in records.items():
+        assert isinstance(cell, str) and record["cell"] == cell
+        assert "result" in record
 
 
 class TestRunTable:

@@ -17,6 +17,9 @@ Pins the PR's contracts:
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -384,6 +387,36 @@ class TestServeCLI:
         monkeypatch.setattr(serve_module, "serve", wedged)
         assert serve_main(["live", out, "--speedup", "1000"]) == 3
         assert "serving error" in capsys.readouterr().out
+
+    def test_serving_error_without_log_level_leaves_stderr_empty(
+        self, tmp_path
+    ):
+        """With logging off, the exit-3 branch's error record must not
+        reach Python's last-resort stderr handler.  Out of process:
+        pytest's log capture hides that handler in-process."""
+        out = str(tmp_path / "cli.npz")
+        assert serve_main(["record", *self.ARGS, "--out", out]) == 0
+        script = (
+            "import runpy, sys\n"
+            "import repro.serving as serving\n"
+            "def wedged(config, trace=None):\n"
+            "    raise serving.LiveServingError('worker died', {})\n"
+            "serving.serve = wedged\n"
+            "sys.argv[1:] = ['live', sys.argv[1], '--speedup', '1000']\n"
+            "runpy.run_module('repro.serve', run_name='__main__')\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, out],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "serving error: worker died" in proc.stdout
+        assert proc.stderr == ""
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,12 @@ from repro import obs
 from repro.controller import Kind, MemRequest, MemoryController
 from repro.controller.controller import ENGINES
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
+from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
+from repro.eval.fleet import shutdown_worker_pool
 from repro.eval.harness import (
-    DEFENDED_HAMMER_DEFENSES,
     attack_scenarios,
     run_matrix,
     serving_scenarios,
-    shutdown_worker_pool,
 )
 from repro.locker import DRAMLocker, LockerConfig
 from repro.serving import HealthConfig, ServingConfig, run_serving
