@@ -10,7 +10,9 @@ DRAM.  The attacker:
 3. RowHammers the PTE row's neighbours to flip the bit, redirecting the
    victim's virtual page to the malicious frame (step 3);
 4. the victim's next inference walks the corrupted table and streams
-   weights from the wrong frame.
+   weights from the wrong frame -- or, when the flipped bit sends the
+   frame number past physical memory, faults and cannot run at all (a
+   denial of service, recorded as such).
 
 With DRAM-Locker protecting the page-table rows, step 3's activations
 are skipped and translation stays intact.
@@ -27,7 +29,7 @@ from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
 from ..nn.storage import WeightStore
 from ..vm.mmu import MMU
-from ..vm.page_table import PageTable
+from ..vm.page_table import PageFault, PageTable
 from ..vm.pte import pfn_bit_positions
 from .hammer import HammerDriver
 from .registry import AttackContext, register_attack
@@ -88,17 +90,27 @@ class PagedWeights:
         )
 
     def redirected_pages(self) -> list[int]:
-        """VPNs whose translation no longer points at the true frame."""
+        """VPNs whose translation no longer points at the true frame
+        (a faulting translation included)."""
         wrong = []
         for row, vpn in self.vpn_of_row.items():
-            if self.mmu.translate(vpn) != row:
+            try:
+                redirected = self.mmu.translate(vpn) != row
+            except PageFault:
+                redirected = True
+            if redirected:
                 wrong.append(vpn)
         return sorted(wrong)
 
 
 @dataclass
 class PTARecord:
-    """One PTE-redirect attempt."""
+    """One PTE-redirect attempt.
+
+    ``page_fault`` holds the fault the victim's translation raised, if
+    any: its weights could not be loaded, so no inference completes
+    and ``accuracy_after`` is 0.
+    """
 
     iteration: int
     vpn: int
@@ -107,6 +119,7 @@ class PTARecord:
     executed: bool
     accuracy_after: float
     activations_blocked: int
+    page_fault: str | None = None
 
 
 @dataclass
@@ -117,6 +130,11 @@ class PTAResult:
     @property
     def executed_redirects(self) -> int:
         return sum(1 for record in self.records if record.executed)
+
+    @property
+    def page_faults(self) -> int:
+        """Attempts after which the victim's translation faulted."""
+        return sum(1 for record in self.records if record.page_fault)
 
 
 class PageTableAttack:
@@ -193,11 +211,21 @@ class PageTableAttack:
         row_bit = pfn_bit_positions(pte_offset, pfn_bit)
         outcome = self.driver.hammer_bit(pte_row, row_bit)
         self.paged.mmu.flush_tlb()
-        self.paged.sync_via_translation()
-        # Intact translation serves the same weights: a memo hit.
-        accuracy = memo.accuracy(
-            self.qmodel.model, self.dataset.test_x[:512], self.dataset.test_y[:512]
-        )
+        page_fault = None
+        try:
+            self.paged.sync_via_translation()
+        except PageFault as fault:
+            # The flip sent a frame number past physical memory: the
+            # victim cannot load its weights, so nothing is served.
+            page_fault = str(fault)
+            accuracy = 0.0
+        else:
+            # Intact translation serves the same weights: a memo hit.
+            accuracy = memo.accuracy(
+                self.qmodel.model,
+                self.dataset.test_x[:512],
+                self.dataset.test_y[:512],
+            )
         return PTARecord(
             iteration=iteration,
             vpn=vpn,
@@ -206,6 +234,7 @@ class PageTableAttack:
             executed=outcome.flipped,
             accuracy_after=accuracy,
             activations_blocked=outcome.activations_blocked,
+            page_fault=page_fault,
         )
 
     # ------------------------------------------------------------------

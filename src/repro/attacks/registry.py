@@ -102,6 +102,10 @@ def summarize_generic(result: Any) -> dict:
         metrics["blocked_activations"] = sum(
             f.activations_blocked for f in flips
         )
+    if getattr(result, "page_faults", 0):
+        # Only a faulting run carries the key, so every other payload
+        # keeps its bytes.
+        metrics["page_faults"] = result.page_faults
     executed = getattr(result, "executed_flips", None)
     if executed is None and hasattr(result, "executed_redirects"):
         executed = result.executed_redirects

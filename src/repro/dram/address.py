@@ -49,10 +49,21 @@ class ByteAddress:
 
 
 class AddressMapper:
-    """Bidirectional address translation bound to one :class:`DRAMConfig`."""
+    """Bidirectional address translation bound to one :class:`DRAMConfig`.
+
+    The geometry is fixed when the device is built, so each mapper
+    decodes a row (and walks its neighbors) once: :meth:`row_address`
+    and :meth:`neighbors` fill per-mapper tables on first use.  The
+    range check runs before an entry is stored, so an out-of-range index
+    is never cached and still raises.  Concurrent fills (the live
+    serving frontend's two threads) are harmless: every writer stores
+    the same immutable value.
+    """
 
     def __init__(self, config: DRAMConfig):
         self.config = config
+        self._addresses: dict[int, RowAddress] = {}
+        self._neighbors: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Row index <-> RowAddress
@@ -71,12 +82,19 @@ class AddressMapper:
 
     def row_address(self, index: int) -> RowAddress:
         """Expand a global row index back to ``(bank, subarray, row)``."""
+        try:
+            return self._addresses[index]
+        except KeyError:
+            pass
         cfg = self.config
         if not 0 <= index < cfg.total_rows:
             raise ValueError(f"row index {index} out of range")
         bank, rest = divmod(index, cfg.rows_per_bank)
         subarray, row = divmod(rest, cfg.rows_per_subarray)
-        return RowAddress(bank, subarray, row)
+        # Plain ints, whatever integer type the first caller passed.
+        addr = RowAddress(int(bank), int(subarray), int(row))
+        self._addresses[index] = addr
+        return addr
 
     # ------------------------------------------------------------------
     # Byte address <-> (row, column)
@@ -105,6 +123,11 @@ class AddressMapper:
         stripes between subarrays isolate the disturbance, which is also
         why RowClone FPM and SHADOW shuffling are intra-subarray.
         """
+        key = (index, radius)
+        try:
+            return list(self._neighbors[key])
+        except KeyError:
+            pass
         if radius < 1:
             raise ValueError("radius must be >= 1")
         cfg = self.config
@@ -118,6 +141,7 @@ class AddressMapper:
                 result.append(
                     self.row_index(RowAddress(addr.bank, addr.subarray, local))
                 )
+        self._neighbors[key] = tuple(result)
         return result
 
     def aggressors_of(self, victims: Iterable[int], radius: int = 1) -> set[int]:

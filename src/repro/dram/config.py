@@ -8,6 +8,7 @@ overhead calculators all share.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = ["DRAMConfig"]
 
@@ -72,19 +73,23 @@ class DRAMConfig:
     # ------------------------------------------------------------------
     # Derived geometry
     # ------------------------------------------------------------------
-    @property
+    # The request path reads these on nearly every request, so each is
+    # computed once per instance (``cached_property`` stores it in the
+    # instance dict, outside ``__eq__``, ``__hash__`` and ``repr``;
+    # ``replace()`` builds a fresh instance).
+    @cached_property
     def rows_per_bank(self) -> int:
         return self.subarrays_per_bank * self.rows_per_subarray
 
-    @property
+    @cached_property
     def total_rows(self) -> int:
         return self.banks * self.rows_per_bank
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         return self.total_rows * self.row_bytes
 
-    @property
+    @cached_property
     def usable_rows_per_subarray(self) -> int:
         """Rows available to data (excludes the reserved swap pool)."""
         return self.rows_per_subarray - self.reserved_rows_per_subarray
@@ -97,7 +102,7 @@ class DRAMConfig:
     # ------------------------------------------------------------------
     # Multi-channel (system-level) geometry
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def system_rows(self) -> int:
         """Rows across all channels (the serving address space)."""
         return self.channels * self.total_rows

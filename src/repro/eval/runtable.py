@@ -38,6 +38,7 @@ import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 
 from .. import obs
@@ -150,8 +151,17 @@ class RunTableSpec:
 
 class JournalFormatError(ValueError):
     """A checkpoint journal line before the final one that is not a
-    record: undecodable bytes, bad JSON, or not a JSON object with a
-    string ``cell`` and a ``result``."""
+    record: undecodable bytes, bad JSON, not a JSON object with a
+    string ``cell`` and a ``result``, or a missing or mismatched CRC."""
+
+
+#: The key each journal line carries its record's CRC-32 under.
+CRC_KEY = "crc32"
+
+
+def _crc32(record: dict) -> int:
+    """CRC-32 of a record's canonical JSON (sorted keys)."""
+    return zlib.crc32(json.dumps(record, sort_keys=True).encode("utf-8"))
 
 
 class CheckpointJournal:
@@ -161,9 +171,11 @@ class CheckpointJournal:
     "result"}`` with ``result`` in the artifact's results-section form
     (:func:`~repro.eval.harness.scenario_result_payload`), so merging
     journal records reproduces an uninterrupted artifact bit-for-bit.
-    A torn final line (the process died mid-write) is tolerated on
-    load; a bad line anywhere else is corruption and raises
-    :class:`JournalFormatError`.
+    Each line also carries the CRC-32 of its record's canonical JSON
+    (under :data:`CRC_KEY`), so a flipped byte inside a value cannot
+    load as a different record.  A torn final line (the process died
+    mid-write) is tolerated on load; a bad line anywhere else is
+    corruption and raises :class:`JournalFormatError`.
     """
 
     def __init__(self, path: str):
@@ -185,31 +197,44 @@ class CheckpointJournal:
             data = handle.read()
         *lines, torn = data.split(b"\n")
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError:  # undecodable bytes or bad JSON
-                record = None
-            if not (
-                isinstance(record, dict)
-                and isinstance(record.get("cell"), str)
-                and "result" in record
-            ):
-                raise JournalFormatError(
-                    f"corrupt journal {self.path}: bad record at line "
-                    f"{lineno} (only the final line may be torn)"
-                )
-            records[record["cell"]] = record
+            if line.strip():
+                record = self._verified(line, lineno)
+                records[record["cell"]] = record
         if torn and repair:
             with open(self.path, "r+b") as out:
                 out.truncate(len(data) - len(torn))
         return records
 
+    def _verified(self, line: bytes, lineno: int) -> dict:
+        """The record one whole line holds, its CRC checked and removed."""
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError:  # undecodable bytes or bad JSON
+            record = None
+        problem = "bad record"
+        if (
+            isinstance(record, dict)
+            and isinstance(record.get("cell"), str)
+            and "result" in record
+        ):
+            crc = record.pop(CRC_KEY, None)
+            if crc is not None and crc == _crc32(record):
+                return record
+            problem = "missing CRC" if crc is None else "CRC mismatch"
+        raise JournalFormatError(
+            f"corrupt journal {self.path}: {problem} at line {lineno} "
+            f"(only the final line may be torn)"
+        )
+
     def append(self, record: dict) -> None:
-        """Durably append one record: single write, flush, fsync."""
+        """Durably append one record and its CRC: single write, flush,
+        fsync.  The CRC covers the record's plain JSON form (numpy
+        scalars as numbers, tuples as lists), which is what
+        :meth:`load` reads back and checks."""
+        plain = json.loads(json.dumps(record, default=_json_fallback))
         line = (
-            json.dumps(record, sort_keys=True, default=_json_fallback) + "\n"
+            json.dumps({**plain, CRC_KEY: _crc32(plain)}, sort_keys=True)
+            + "\n"
         )
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)

@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import Telemetry, enabled_scope
-from .trace import chrome_trace, read_jsonl, write_jsonl
+from .trace import JsonlFormatError, chrome_trace, read_jsonl, write_jsonl
 
 __all__ = ["main"]
 
@@ -60,9 +60,20 @@ def _record_demo(args: argparse.Namespace) -> Telemetry:
     return telemetry
 
 
+def _read_input(path: str, key: str) -> list[dict]:
+    """The events of ``--input``, each holding the string ``key`` the
+    subcommand reads (a trace span's ``name``, an audit event's
+    ``kind``)."""
+    events = read_jsonl(path)
+    for number, event in enumerate(events, 1):
+        if not isinstance(event.get(key), str):
+            raise JsonlFormatError(f"{path}: event {number} has no string {key!r}")
+    return events
+
+
 def _audit_events(args: argparse.Namespace) -> list[dict]:
     if getattr(args, "input", None):
-        return read_jsonl(args.input)
+        return _read_input(args.input, "kind")
     return _record_demo(args).audit.snapshot()
 
 
@@ -89,7 +100,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.input:
-        events = read_jsonl(args.input)
+        events = _read_input(args.input, "name")
     else:
         events = _record_demo(args).trace.snapshot()
     if args.format == "chrome":
@@ -163,7 +174,13 @@ def main(argv: list[str] | None = None) -> int:
     audit.set_defaults(func=_cmd_audit)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, JsonlFormatError) as error:
+        # An --input that cannot be read or parsed is a usage error:
+        # one line, no traceback, as in repro.serve and runtable.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

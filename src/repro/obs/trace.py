@@ -31,11 +31,17 @@ from collections import deque
 from contextlib import contextmanager
 
 __all__ = [
+    "JsonlFormatError",
     "TraceRecorder",
     "chrome_trace",
     "read_jsonl",
     "write_jsonl",
 ]
+
+
+class JsonlFormatError(ValueError):
+    """A jsonl file's bytes are not one JSON object per line:
+    undecodable bytes, bad JSON, or a line holding another JSON value."""
 
 
 class TraceRecorder:
@@ -131,10 +137,28 @@ def write_jsonl(events: list[dict], path: str) -> None:
 
 
 def read_jsonl(path: str) -> list[dict]:
+    """The JSON objects of a jsonl file, one per non-blank line.
+
+    Raises :class:`JsonlFormatError` when the bytes do not parse as
+    such; a file that cannot be opened raises its ``OSError``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as error:
+        raise JsonlFormatError(f"{path}: not UTF-8 ({error})") from error
     events = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise JsonlFormatError(
+                f"{path}: line {lineno} is not JSON ({error})"
+            ) from error
+        if not isinstance(event, dict):
+            raise JsonlFormatError(f"{path}: line {lineno} is not a JSON object")
+        events.append(event)
     return events

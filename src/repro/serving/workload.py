@@ -356,7 +356,9 @@ class GuardRowTraffic:
     def touch(self, row: int) -> None:
         """One privileged access next to ``row``."""
         guards = self._neighbors(row)
-        guard = int(self._rng.choice(guards))
+        # The draw ``Generator.choice(guards)`` makes, without its
+        # array conversion: same guard, same bit-generator state.
+        guard = guards[int(self._rng.integers(0, len(guards)))]
         self._read_privileged(guard)
 
 

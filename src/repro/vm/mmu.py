@@ -62,10 +62,22 @@ class MMU:
         root_entry = self._read_pte(table.root_row, l1_index)
         if not root_entry.valid:
             raise PageFault(f"L1 entry {l1_index} invalid for vpn {vpn}")
+        self._check_frame(root_entry, "L1", l1_index, vpn)
         leaf_entry = self._read_pte(root_entry.pfn, l2_index)
         if not leaf_entry.valid:
             raise PageFault(f"L2 entry {l2_index} invalid for vpn {vpn}")
+        self._check_frame(leaf_entry, "L2", l2_index, vpn)
         return leaf_entry.pfn
+
+    def _check_frame(self, entry: PTE, level: str, index: int, vpn: int) -> None:
+        """Fault on a frame number past physical memory (a flipped high
+        PFN bit) before anything reads that row."""
+        total = self.controller.device.config.total_rows
+        if entry.pfn >= total:
+            raise PageFault(
+                f"{level} entry {index} for vpn {vpn} points at frame "
+                f"{entry.pfn}, past the device's {total} rows"
+            )
 
     def _read_pte(self, row: int, index: int) -> PTE:
         offset = index * PTE_BYTES

@@ -12,12 +12,13 @@ from repro.attacks import (
     ProgressiveBitSearch,
     RandomAttack,
 )
+from repro.attacks.registry import summarize_generic
 from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.locker import DRAMLocker, LockMode, LockerConfig
 from repro.nn import QuantizedModel, WeightStore, make_dataset, resnet20, train
 from repro.nn.train import TrainConfig
-from repro.vm import MMU, PageTable
+from repro.vm import MMU, PageTable, pfn_bit_positions
 
 TRH = 60
 
@@ -211,3 +212,25 @@ class TestPTA:
         assert result.executed_redirects == 0
         assert paged.redirected_pages() == []
         assert result.accuracies[-1] == pytest.approx(clean)
+        assert result.page_faults == 0
+        assert "page_faults" not in summarize_generic(result)["metrics"]
+
+    def test_frame_past_memory_is_a_recorded_denial_of_service(
+        self, qmodel, dataset
+    ):
+        """A PTE whose frame number a flip sent past the device's rows
+        faults the victim's translation: every attempt after it records
+        the fault (accuracy 0, nothing served) instead of raising."""
+        device, paged, driver = self.make_paged(qmodel, protected=False)
+        vpn = 0
+        row, offset = paged.page_table.pte_location(vpn)
+        device.flip_bit(row, pfn_bit_positions(offset, 30))
+        attack = PageTableAttack(qmodel, dataset, paged, driver, seed=0)
+        result = attack.run(2)
+        assert result.page_faults == 2
+        assert result.accuracies == [0.0, 0.0]
+        assert all("past the device" in r.page_fault for r in result.records)
+        assert vpn in paged.redirected_pages()
+        payload = summarize_generic(result)
+        assert payload["metrics"]["page_faults"] == 2
+        assert payload["iterations"] == 2 and payload["final_accuracy"] == 0.0

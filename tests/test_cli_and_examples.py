@@ -1,8 +1,18 @@
 """The CLI entry point and example-facing integration seams (cheap paths)."""
 
+import json
+
 import pytest
 
 from repro.eval.__main__ import main
+from repro.eval.runtable import CRC_KEY, _crc32
+
+
+def journal_line(record: dict) -> bytes:
+    """One checkpoint-journal line as ``CheckpointJournal.append``
+    writes it: the record and its CRC."""
+    stamped = {**record, CRC_KEY: _crc32(record)}
+    return json.dumps(stamped, sort_keys=True).encode() + b"\n"
 
 
 class TestCLI:
@@ -72,14 +82,17 @@ class TestCLI:
     @pytest.mark.parametrize(
         "journal",
         [
-            b'{"cell": "a", "result": 1}\nnot json\n{"cell": "b", "result": 2}\n',
-            b'{"result": 1}\n',
+            journal_line({"cell": "a", "result": 1}) + b"not json\n"
+            + journal_line({"cell": "b", "result": 2}),
+            journal_line({"result": 1}),
             b"[1, 2]\n",
-            b'{"cell": "a", "result": "\xff"}\n',
+            b'{"cell": "a", "result": "\xff", "crc32": 0}\n',
+            journal_line({"cell": "a", "result": 42}).replace(b"42", b"43"),
+            b'{"cell": "a", "result": 1}\n',
             None,  # the journal path is a directory: OSError
         ],
         ids=["bad-middle-line", "no-cell", "not-an-object", "undecodable",
-             "unreadable"],
+             "crc-mismatch", "no-crc", "unreadable"],
     )
     def test_bad_runtable_journal_exits_2(
         self, journal, tmp_path, monkeypatch, capsys
@@ -154,6 +167,57 @@ class TestServeBadTrace:
         path = self._write(tmp_path, case)
         argv = [command[0], str(path), *command[1:]]
         assert serve_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path.name in lines[0]
+        assert "Traceback" not in captured.err
+
+
+class TestObsBadInput:
+    """``python -m repro.obs export|audit --input`` on a file that cannot
+    be read or parsed as jsonl: one stderr line and exit 2, never a
+    traceback."""
+
+    CASES = {
+        "missing": None,
+        "non-utf8": bytes(range(0x80, 0xC0)),
+        "non-json-line": b'{"name": "a", "kind": "a"}\nnot json\n',
+        "not-an-object": b'{"name": "a", "kind": "a"}\n[1, 2]\n',
+    }
+
+    @classmethod
+    def _write(cls, tmp_path, case):
+        path = tmp_path / f"{case}.jsonl"
+        if cls.CASES[case] is not None:
+            path.write_bytes(cls.CASES[case])
+        return path
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_read_jsonl_raises_one_typed_error(self, case, tmp_path):
+        from repro.obs.trace import JsonlFormatError, read_jsonl
+
+        path = self._write(tmp_path, case)
+        expected = FileNotFoundError if case == "missing" else JsonlFormatError
+        with pytest.raises(expected) as error:
+            read_jsonl(str(path))
+        assert str(path) in str(error.value)
+        assert issubclass(JsonlFormatError, ValueError)
+
+    @pytest.mark.parametrize("case", [*sorted(CASES), "no-key"])
+    @pytest.mark.parametrize("command", ["export", "audit"])
+    def test_bad_input_exits_2_with_one_line(
+        self, command, case, tmp_path, capsys
+    ):
+        from repro.obs.__main__ import main as obs_main
+
+        if case == "no-key":  # a trace span without a name, an audit
+            path = tmp_path / "no-key.jsonl"  # event without a kind
+            path.write_text('{"ph": "X"}\n')
+        else:
+            path = self._write(tmp_path, case)
+        assert obs_main([command, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

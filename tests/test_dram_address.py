@@ -1,5 +1,8 @@
 """Address mapping: bijectivity, adjacency, reserved rows."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -196,3 +199,87 @@ class TestChannelsConfig:
         multi = single.with_channels(2)
         assert "channels" not in single.describe()
         assert "2 channels" in multi.describe()
+
+
+#: Geometries the decode tables are pinned on: the two presets and an
+#: odd one whose every dimension is coprime to the others.
+DECODE_GEOMETRIES = {
+    "tiny": DRAMConfig.tiny(),
+    "small": DRAMConfig.small(),
+    "odd": DRAMConfig(
+        name="odd",
+        banks=3,
+        subarrays_per_bank=5,
+        rows_per_subarray=7,
+        row_bytes=64,
+        reserved_rows_per_subarray=2,
+    ),
+}
+
+
+class TestDecodeTables:
+    """Each mapper decodes a row once: its cached answers must be the
+    ``divmod`` formula's, on the first call and on every later one."""
+
+    @staticmethod
+    def _formula(cfg: DRAMConfig, index: int) -> RowAddress:
+        bank, rest = divmod(index, cfg.subarrays_per_bank * cfg.rows_per_subarray)
+        return RowAddress(bank, *divmod(rest, cfg.rows_per_subarray))
+
+    @pytest.mark.parametrize("geometry", sorted(DECODE_GEOMETRIES))
+    def test_row_address_is_the_formula_on_every_call(self, geometry):
+        cfg = DECODE_GEOMETRIES[geometry]
+        mapper = AddressMapper(cfg)
+        assert cfg.total_rows == (
+            cfg.banks * cfg.subarrays_per_bank * cfg.rows_per_subarray
+        )
+        for _ in range(2):
+            for index in range(cfg.total_rows):
+                addr = mapper.row_address(index)
+                assert addr == self._formula(cfg, index)
+                assert mapper.row_index(addr) == index
+
+    @pytest.mark.parametrize("geometry", sorted(DECODE_GEOMETRIES))
+    def test_out_of_range_is_never_cached(self, geometry):
+        cfg = DECODE_GEOMETRIES[geometry]
+        mapper = AddressMapper(cfg)
+        for _ in range(2):
+            for index in (-1, cfg.total_rows):
+                with pytest.raises(ValueError, match=f"row index {index} out of range"):
+                    mapper.row_address(index)
+        for index in (0, cfg.total_rows - 1, cfg.total_rows // 2):
+            assert mapper.row_address(index) == self._formula(cfg, index)
+
+    def test_numpy_index_decodes_to_plain_ints(self):
+        mapper = AddressMapper(DRAMConfig.tiny())
+        addr = mapper.row_address(np.int64(70))
+        assert addr == mapper.row_address(70)
+        assert all(type(field) is int for field in addr)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_neighbors_returns_a_fresh_list(self, mapper, radius):
+        index = mapper.row_index(RowAddress(1, 0, 10))
+        first = mapper.neighbors(index, radius=radius)
+        expected = list(first)
+        first.append(-1)
+        first[0] = -2
+        assert mapper.neighbors(index, radius=radius) == expected
+        assert mapper.neighbors(index, radius=radius) is not mapper.neighbors(
+            index, radius=radius
+        )
+
+    def test_radius_below_one_raises_on_every_call(self, mapper):
+        for _ in range(2):
+            for radius in (0, -1):
+                with pytest.raises(ValueError, match="radius"):
+                    mapper.neighbors(5, radius=radius)
+
+    def test_derived_geometry_stays_out_of_equality(self):
+        config = DRAMConfig.small()
+        fresh = DRAMConfig.small()
+        assert config.total_rows and config.system_rows  # fill the caches
+        assert config == fresh and hash(config) == hash(fresh)
+        assert repr(config) == repr(fresh)
+        wider = replace(config, banks=config.banks * 2)
+        assert wider.total_rows == 2 * config.total_rows
+        assert wider.capacity_bytes == wider.total_rows * wider.row_bytes

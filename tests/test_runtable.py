@@ -20,6 +20,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,38 @@ class TestJournal:
         journal.append({"cell": "b", "result": {}})
         with pytest.raises(ValueError, match="corrupt journal"):
             journal.load()
+
+    def test_flipped_value_fails_its_crc(self, tmp_path):
+        """One bit flipped inside a value (``42`` -> ``43``) leaves valid
+        JSON behind; the line's CRC refuses it."""
+        journal = CheckpointJournal(str(tmp_path / "j.jsonl"))
+        journal.append({"cell": "a", "result": {"served": 42}})
+        journal.append({"cell": "b", "result": {"served": 7}})
+        assert journal.load()["a"] == {"cell": "a", "result": {"served": 42}}
+        data = (tmp_path / "j.jsonl").read_bytes()
+        (tmp_path / "j.jsonl").write_bytes(
+            data.replace(b'"served": 42', b'"served": 43')
+        )
+        with pytest.raises(JournalFormatError, match="CRC mismatch at line 1"):
+            journal.load()
+
+    def test_record_without_crc_raises(self, tmp_path):
+        journal = CheckpointJournal(str(tmp_path / "j.jsonl"))
+        with open(journal.path, "w") as handle:
+            handle.write('{"cell": "a", "result": {}}\n')
+        journal.append({"cell": "b", "result": {}})
+        with pytest.raises(JournalFormatError, match="missing CRC at line 1"):
+            journal.load()
+
+    def test_numpy_values_load_as_plain_json(self, tmp_path):
+        journal = CheckpointJournal(str(tmp_path / "j.jsonl"))
+        journal.append(
+            {"cell": "a", "result": {"p99": np.float64(1.5), "n": np.int64(3),
+                                     "pair": (1, 2)}}
+        )
+        assert journal.load() == {
+            "a": {"cell": "a", "result": {"p99": 1.5, "n": 3, "pair": [1, 2]}}
+        }
 
     def test_unterminated_complete_record_is_torn(self, tmp_path):
         """A crash after a record's last brace but before its newline:
@@ -269,10 +302,11 @@ def test_truncated_journal_loads_a_prefix(recorded_journal, tmp_path, data):
 def test_flipped_journal_loads_or_raises_journal_format_error(
     recorded_journal, tmp_path, data
 ):
-    """Flipped bytes load as well-formed records or raise
-    :class:`JournalFormatError`, never another exception.  (A journal
-    carries no checksum: a flip inside a value can load as a different
-    record.)"""
+    """Flipped bytes load the records as appended (a flip that drops the
+    final newline tears that record off) or raise
+    :class:`JournalFormatError`, never another exception: each line's
+    CRC keeps a flip inside a value from loading as a different
+    record."""
     flips = data.draw(
         st.lists(
             st.tuples(
@@ -293,9 +327,9 @@ def test_flipped_journal_loads_or_raises_journal_format_error(
         records = CheckpointJournal(str(path)).load()
     except JournalFormatError:
         return
+    originals = {record["cell"]: record for record in JOURNAL_RECORDS}
     for cell, record in records.items():
-        assert isinstance(cell, str) and record["cell"] == cell
-        assert "result" in record
+        assert record == originals[cell]
 
 
 class TestRunTable:

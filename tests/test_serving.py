@@ -530,3 +530,55 @@ class TestCompareServing:
         del current["cells"]["none-ch1"]
         report = compare(current, _serving_artifact())
         assert any("missing" in v for v in report.violations)
+
+
+class TestRequestPathShortcuts:
+    """The request path's hand-rolled copies and draws equal the library
+    calls they replace."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            MemRequest(Kind.READ, 3),
+            MemRequest(Kind.WRITE, 9, column=128, size=256, privileged=True,
+                       tag="tenant-a"),
+            MemRequest(Kind.ACT, 0, tag="attacker"),
+        ],
+    )
+    def test_replace_row_keeps_every_other_field(self, request_):
+        import dataclasses
+
+        from repro.serving.sharded import replace_row
+
+        moved = replace_row(request_, 41)
+        assert moved is not request_ and moved.row == 41
+        assert moved == dataclasses.replace(request_, row=41)
+        for field in dataclasses.fields(MemRequest):
+            if field.name != "row":
+                assert getattr(moved, field.name) == getattr(
+                    request_, field.name
+                ), field.name
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+    @pytest.mark.parametrize("guard_count", [1, 2, 3, 4])
+    def test_guard_draw_equals_generator_choice(self, seed, guard_count):
+        from repro.serving import GuardRowTraffic
+
+        guards = [100 + 3 * k for k in range(guard_count)]
+        touched = []
+        traffic = GuardRowTraffic(lambda row: list(guards), touched.append,
+                                  seed=seed)
+        twin = np.random.default_rng(seed)
+        expected = []
+        for row in range(200):
+            traffic.touch(row)
+            expected.append(int(twin.choice(guards)))
+        assert touched == expected
+        assert traffic._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_guard_draw_without_guards_raises(self):
+        from repro.serving import GuardRowTraffic
+
+        traffic = GuardRowTraffic(lambda row: [], lambda row: None)
+        with pytest.raises(ValueError):
+            traffic.touch(5)

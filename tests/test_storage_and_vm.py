@@ -1,6 +1,8 @@
 """WeightStore layout/sync and the virtual-memory substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
@@ -8,6 +10,7 @@ from repro.nn import QuantizedModel, WeightStore, resnet20
 from repro.vm import (
     MMU,
     PTE,
+    PTE_BYTES,
     PTEFlags,
     PageFault,
     PageTable,
@@ -183,8 +186,8 @@ class TestMMU:
         device, table = TestPageTable().make_table()
         controller = MemoryController(device)
         mmu = MMU(controller, table)
-        table.map(9, 4321)
-        assert mmu.translate(9) == 4321
+        table.map(9, 1234)
+        assert mmu.translate(9) == 1234
         assert mmu.walks == 1
         assert device.stats.reads >= 2  # two PTE reads
 
@@ -192,7 +195,7 @@ class TestMMU:
         device, table = TestPageTable().make_table()
         controller = MemoryController(device)
         mmu = MMU(controller, table, tlb_entries=4)
-        table.map(9, 4321)
+        table.map(9, 1234)
         mmu.translate(9)
         mmu.translate(9)
         assert mmu.tlb_hits == 1
@@ -202,8 +205,67 @@ class TestMMU:
         device, table = TestPageTable().make_table()
         controller = MemoryController(device)
         mmu = MMU(controller, table, tlb_entries=4)
-        table.map(9, 4321)
+        table.map(9, 1234)
         mmu.translate(9)
         mmu.flush_tlb()
         mmu.translate(9)
         assert mmu.walks == 2
+
+    def test_frame_past_the_device_faults_before_reading_it(self):
+        device, table = TestPageTable().make_table()
+        controller = MemoryController(device)
+        mmu = MMU(controller, table)
+        total = device.config.total_rows
+        table.map(9, total)
+        table.map(10, total - 1)
+        reads = device.stats.reads
+        with pytest.raises(PageFault, match=f"frame {total}, past"):
+            mmu.translate(9)
+        assert device.stats.reads == reads + 2  # the root and leaf PTEs
+        assert mmu.translate(10) == total - 1
+
+
+#: Mapped translations the corruption property walks: three leaf tables.
+CORRUPTED_VPNS = (0, 5, 200, 255, 300)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_single_flip_translates_in_range_or_faults(data):
+    """For any page-table row and any single flipped bit -- anywhere in
+    the row, or inside a live entry -- every translation returns a row
+    of the device or raises :class:`PageFault`, never another error."""
+    device, table = TestPageTable().make_table()
+    mmu = MMU(MemoryController(device), table)
+    total = device.config.total_rows
+    for vpn in CORRUPTED_VPNS:
+        table.map(vpn, (7 * vpn + 3) % total)
+    entries = [table.pte_location(vpn) for vpn in CORRUPTED_VPNS] + [
+        (table.root_row, (vpn >> table.l2_bits) * PTE_BYTES)
+        for vpn in CORRUPTED_VPNS
+    ]
+    row_bits = device.config.row_bits
+    row, bit = data.draw(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(table.table_rows()),
+                st.integers(0, row_bits - 1),
+            ),
+            st.sampled_from(entries).flatmap(
+                lambda entry: st.tuples(
+                    st.just(entry[0]),
+                    st.integers(0, 8 * PTE_BYTES - 1).map(
+                        lambda k: 8 * entry[1] + k
+                    ),
+                )
+            ),
+        ),
+        label="flip",
+    )
+    device.flip_bit(row, bit)
+    for vpn in CORRUPTED_VPNS:
+        try:
+            frame = mmu.translate(vpn)
+        except PageFault:
+            continue
+        assert 0 <= frame < total
