@@ -11,7 +11,7 @@ Run with:  python examples/protect_dnn_inference.py
 
 from repro.attacks import BFAConfig, ProgressiveBitSearch
 from repro.eval import Scale, build_system, build_victim
-from repro.eval.experiments import _background_tenant_hook
+from repro.serving import GuardRowTenant
 
 
 def main() -> None:
@@ -39,8 +39,12 @@ def main() -> None:
             BFAConfig(attack_batch=scale.attack_batch),
             store=system.store,
             driver=system.driver,
+            # A tenant's privileged guard-row access before each campaign:
+            # the unlock-SWAP whose failure is DRAM-Locker's only opening.
             before_execute=(
-                _background_tenant_hook(system) if protected else None
+                GuardRowTenant(system.store, system.controller, seed=1)
+                if protected
+                else None
             ),
         )
         result = attack.run(scale.attack_iterations)

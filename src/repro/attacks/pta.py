@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..locker.planner import LockMode
 from ..nn import memo
 from ..nn.data import Dataset
 from ..nn.quant import QuantizedModel
@@ -39,29 +40,7 @@ __all__ = [
     "PTARecord",
     "PTAResult",
     "PageTableAttack",
-    "build_paged_weights",
 ]
-
-
-def build_paged_weights(
-    store: WeightStore, controller, locker=None
-) -> PagedWeights:
-    """Standard PTA experiment plumbing, shared by the figure runner
-    and the registry builder: page-table rows live in the last bank,
-    spaced so their guard rows never collide with each other; when a
-    locker is given, the table rows get adjacent-row protection."""
-    from ..locker.planner import LockMode
-
-    device = store.device
-    mapper = device.mapper
-    bank = device.config.banks - 1
-    pt_rows = [mapper.row_index((bank, 0, local)) for local in range(0, 32, 2)]
-    page_table = PageTable(device, pt_rows)
-    mmu = MMU(controller, page_table)
-    paged = PagedWeights(store, page_table, mmu)
-    if locker is not None:
-        locker.protect(page_table.table_rows(), mode=LockMode.ADJACENT)
-    return paged
 
 
 class PagedWeights:
@@ -258,14 +237,24 @@ class PageTableAttack:
     description="Page-table attack: PTE bit flips redirect weight pages",
 )
 def _pta(ctx: AttackContext, **params) -> PageTableAttack:
-    """Builds the paged-weights view (and locks the page-table rows when
-    the system's controller carries a locker), then aims the attack."""
+    """Builds the paged-weights view and aims the attack at it.
+
+    The page-table rows live in the last bank, spaced so their guard
+    rows never collide with each other; when the system's controller
+    carries a locker, they get adjacent-row protection.
+    """
     if ctx.store is None or ctx.driver is None:
         raise ValueError("the page-table attack needs a DRAM-resident victim")
     controller = ctx.driver.controller
-    paged = build_paged_weights(
-        ctx.store, controller, locker=getattr(controller, "locker", None)
+    device = ctx.store.device
+    bank = device.config.banks - 1
+    page_table = PageTable(
+        device,
+        [device.mapper.row_index((bank, 0, local)) for local in range(0, 32, 2)],
     )
+    paged = PagedWeights(ctx.store, page_table, MMU(controller, page_table))
+    if controller.locker is not None:
+        controller.locker.protect(page_table.table_rows(), mode=LockMode.ADJACENT)
     return PageTableAttack(
         ctx.qmodel, ctx.dataset, paged, ctx.driver, seed=ctx.seed, **params
     )

@@ -34,6 +34,7 @@ from .twice import TWiCE
 __all__ = [
     "DEFENSE_BUILDERS",
     "DEFENDED_HAMMER_DEFENSES",
+    "bind_victim_store",
     "resolve_serving_defense",
 ]
 
@@ -95,3 +96,18 @@ def resolve_serving_defense(
     if builder is None:
         raise ValueError(f"unknown serving defense {name!r}")
     return False, builder
+
+
+def bind_victim_store(defense: Any, store: Any) -> None:
+    """Bind ``defense`` (or ``None``) to a freshly placed model victim:
+    checksum defenses snapshot the weight rows (RADAR), priority
+    defenses rank them most-critical-first (DNN-Defender), and the
+    store's syncs and write-backs follow the defense's row translation
+    (a permuting defense relocates threatened weight rows)."""
+    if defense is None:
+        return
+    if hasattr(defense, "bind_store"):
+        defense.bind_store(store)
+    if hasattr(defense, "prioritize"):
+        defense.prioritize(store.data_rows)
+    store.row_source = defense.translate

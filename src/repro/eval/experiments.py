@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attacks import AttackContext, run_attack
+from ..attacks import AttackContext, build_attack, run_attack
 from ..attacks.bfa import BFAConfig, ProgressiveBitSearch
 from ..attacks.hammer import HammerDriver
-from ..attacks.pta import PageTableAttack, build_paged_weights
-from ..attacks.random_attack import RandomAttack
 from ..circuits.montecarlo import MonteCarlo, PAPER_ERROR_RATES
 from ..controller.controller import MemoryController
+from ..defenses.builders import bind_victim_store, resolve_serving_defense
 from ..defenses.overhead import format_table1, table1_reports
 from ..dram.config import DRAMConfig
 from ..dram.device import DRAMDevice
@@ -27,6 +26,7 @@ from ..dram.vulnerability import VulnerabilityMap
 from ..isa import Opcode, assemble, disassemble, swap_program
 from ..locker.locker import DRAMLocker, LockerConfig
 from ..locker.planner import LockMode, plan_protection
+from ..locker.swap import per_copy_error_rate
 from ..nn import memo
 from ..nn.cache import VictimCache, cached_train
 from ..nn.data import Dataset, synthetic_cifar10, synthetic_cifar100
@@ -170,24 +170,23 @@ def build_system(
     """Place the model's weights in DRAM, with or without DRAM-Locker.
 
     ``swap_failure_rate`` is the whole-SWAP failure probability the
-    paper charges (9.6 % at the +/-20 % corner); the per-RowClone rate
-    is derived so three copies compose to it.  ``defense_builder``
-    installs a baseline/detect-and-recover defense instance on the
-    controller instead of (or alongside) the locker; defenses exposing
-    the victim-load hooks (``bind_store`` / ``prioritize``) are bound
-    to the weight store, mirroring the serving engine's model-victim
-    attach.
+    paper charges (9.6 % at the +/-20 % corner); the locker's
+    per-RowClone rate is :func:`~repro.locker.swap.per_copy_error_rate`
+    of it.  ``defense_builder`` installs a baseline/detect-and-recover
+    defense instance on the controller instead of (or alongside) the
+    locker, bound to the weight store by
+    :func:`~repro.defenses.builders.bind_victim_store`, as the serving
+    engine's model victim is.
     """
     config = DRAMConfig.small()
     vulnerability = VulnerabilityMap(config, seed=seed, weak_cell_fraction=5e-5)
     device = DRAMDevice(config, vulnerability=vulnerability, trh=trh)
     locker = None
     if protected:
-        per_copy = 1.0 - (1.0 - swap_failure_rate) ** (1.0 / 3.0)
         locker = DRAMLocker(
             device,
             LockerConfig(
-                copy_error_rate=per_copy,
+                copy_error_rate=per_copy_error_rate(swap_failure_rate),
                 relock_interval=2 * trh + 10,
                 seed=seed,
             ),
@@ -198,55 +197,73 @@ def build_system(
     if locker is not None:
         plan = locker.protect(store.data_rows, mode=LockMode.ADJACENT)
         assert plan.is_complete, "guard-row layout should have no holes"
-    if defense is not None:
-        if hasattr(defense, "bind_store"):
-            defense.bind_store(store)
-        if hasattr(defense, "prioritize"):
-            defense.prioritize(store.data_rows)
-        # Syncs/write-backs must follow the defense's row translation
-        # (a permuting defense relocates threatened weight rows).
-        store.row_source = defense.translate
+    bind_victim_store(defense, store)
     driver = HammerDriver(controller, patience=2.0)
     return ProtectedSystem(device, controller, store, driver, locker, defense)
 
 
-def _background_tenant_hook(system: ProtectedSystem, seed: int = 1) -> GuardRowTenant:
-    """Multi-tenant traffic: one privileged access to a guard row
-    adjacent to the attacker's target, right before each campaign.
+def _attack_context(
+    scale: Scale,
+    arch: str,
+    protected: bool,
+    in_dram: bool = True,
+    defense_builder=None,
+) -> tuple[AttackContext, ProtectedSystem | None, float]:
+    """The one assembly of every attack experiment: the cached victim,
+    placed in DRAM (unless ``in_dram=False``, the pure software
+    ablation) behind DRAM-Locker or ``defense_builder``'s defense, and
+    an :class:`AttackContext` aimed at it for the attack registry.
 
-    This is DRAM-Locker's only failure surface: the access forces an
-    unlock-SWAP whose (process-variation) failure opens the exposure
-    window the attacker needs.  The stream itself is the serving
-    subsystem's shared :class:`~repro.serving.GuardRowTenant`
-    (draw-for-draw identical to the closure this used to build); this
-    wrapper just binds it to a :class:`ProtectedSystem`.
+    A locked victim also gets the multi-tenant guard-row stream: one
+    privileged access to a guard row adjacent to the attacker's target
+    before each campaign.  That forces the unlock-SWAP whose
+    (process-variation) failure is DRAM-Locker's only opening.
+    Returns the context, the system (``None`` off DRAM) and the clean
+    accuracy.
     """
-    return GuardRowTenant(system.store, system.controller, seed=seed)
+    dataset, qmodel = build_victim(arch, scale)
+    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
+    ctx = AttackContext(
+        qmodel, dataset, seed=scale.seed, attack_batch=scale.attack_batch
+    )
+    system = None
+    if in_dram:
+        system = build_system(
+            qmodel,
+            protected=protected,
+            seed=scale.seed,
+            defense_builder=defense_builder,
+        )
+        ctx.store = system.store
+        ctx.driver = system.driver
+        if protected:
+            ctx.before_execute = GuardRowTenant(
+                system.store, system.controller, seed=1
+            )
+    elif protected:
+        raise ValueError("protected=True requires in_dram=True")
+    return ctx, system, clean
+
+
+#: The Fig. 8 and PTA runs, open first, by curve label.
+_RUNS = {False: "without DRAM-Locker", True: "with DRAM-Locker"}
 
 
 # ----------------------------------------------------------------------
 # Fig. 1(a): BFA vs random flips (software attack on VGG-11)
 # ----------------------------------------------------------------------
 def run_fig1a(scale: Scale | None = None) -> dict:
+    """The registry's ``bfa`` and ``random`` cells on VGG-11, off DRAM."""
     scale = scale or Scale.quick()
-    dataset, qmodel = build_victim("vgg11", scale)
-    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
-    config = BFAConfig(attack_batch=scale.attack_batch, seed=scale.seed)
-
-    snapshot = qmodel.snapshot()
-    bfa = ProgressiveBitSearch(qmodel, dataset, config).run(
-        scale.attack_iterations
+    bfa = run_attack_scenario(scale, "bfa", "vgg11", protected=False, in_dram=False)
+    random = run_attack_scenario(
+        scale, "random", "vgg11", protected=False, in_dram=False
     )
-    qmodel.restore(snapshot)
-    random = RandomAttack(qmodel, dataset, seed=scale.seed).run(
-        scale.attack_iterations
-    )
-    qmodel.restore(snapshot)
     return {
-        "clean_accuracy": clean,
-        "chance_accuracy": 100.0 / dataset.num_classes,
-        "bfa": bfa.accuracies,
-        "random": random.accuracies,
+        "clean_accuracy": bfa["clean_accuracy"],
+        "chance_accuracy": bfa["chance_accuracy"],
+        "bfa": bfa["accuracies"],
+        "random": random["accuracies"],
     }
 
 
@@ -343,42 +360,24 @@ def run_fig7b() -> dict:
 # Fig. 8: BFA against the full system, with and without DRAM-Locker
 # ----------------------------------------------------------------------
 def run_fig8(arch: str = "resnet20", scale: Scale | None = None) -> dict:
+    """The registry's ``bfa`` cell, run open and locked."""
     scale = scale or Scale.quick()
-    dataset, qmodel = build_victim(arch, scale)
-    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
-    snapshot = qmodel.snapshot()
-    config = BFAConfig(attack_batch=scale.attack_batch, seed=scale.seed)
     curves: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
-
-    for protected in (False, True):
-        qmodel.restore(snapshot)
-        system = build_system(qmodel, protected=protected, seed=scale.seed)
-        hook = _background_tenant_hook(system) if protected else None
-        attack = ProgressiveBitSearch(
-            qmodel,
-            dataset,
-            config,
-            store=system.store,
-            driver=system.driver,
-            before_execute=hook,
-        )
-        result = attack.run(scale.attack_iterations)
-        label = "with DRAM-Locker" if protected else "without DRAM-Locker"
-        curves[label] = result.accuracies
+    for protected, label in _RUNS.items():
+        cell = run_attack_scenario(scale, "bfa", arch=arch, protected=protected)
+        final = cell["final_accuracy"]
+        curves[label] = cell["accuracies"]
         stats[label] = {
-            "executed_flips": result.executed_flips,
-            "iterations": len(result.accuracies),
-            "blocked_activations": sum(
-                flip.activations_blocked for flip in result.flips
-            ),
-            "final_accuracy": result.accuracies[-1] if result.accuracies else clean,
+            "executed_flips": cell["executed_flips"],
+            "iterations": cell["iterations"],
+            "blocked_activations": cell["metrics"].get("blocked_activations", 0),
+            "final_accuracy": cell["clean_accuracy"] if final is None else final,
         }
-    qmodel.restore(snapshot)
     return {
         "arch": arch,
-        "clean_accuracy": clean,
-        "chance_accuracy": 100.0 / dataset.num_classes,
+        "clean_accuracy": cell["clean_accuracy"],
+        "chance_accuracy": cell["chance_accuracy"],
         "curves": curves,
         "stats": stats,
     }
@@ -388,35 +387,26 @@ def run_fig8(arch: str = "resnet20", scale: Scale | None = None) -> dict:
 # PTA: page-table attack, with and without DRAM-Locker
 # ----------------------------------------------------------------------
 def run_pta(scale: Scale | None = None) -> dict:
+    """The registry's ``pta`` attack, run open and locked."""
     scale = scale or Scale.quick()
-    dataset, qmodel = build_victim("resnet20", scale)
-    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
-    snapshot = qmodel.snapshot()
     curves: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
     iterations = max(6, scale.attack_iterations // 4)
-
-    for protected in (False, True):
-        qmodel.restore(snapshot)
-        system = build_system(qmodel, protected=protected, seed=scale.seed)
-        paged = build_paged_weights(
-            system.store, system.controller, locker=system.locker
-        )
-        attack = PageTableAttack(
-            qmodel, dataset, paged, system.driver, seed=scale.seed
-        )
+    for protected, label in _RUNS.items():
+        ctx, _, clean = _attack_context(scale, "resnet20", protected)
+        snapshot = ctx.qmodel.snapshot()
+        attack = build_attack("pta", ctx)
         result = attack.run(iterations)
-        label = "with DRAM-Locker" if protected else "without DRAM-Locker"
         curves[label] = result.accuracies
         stats[label] = {
             "executed_redirects": result.executed_redirects,
-            "redirected_pages": len(paged.redirected_pages()),
+            "redirected_pages": len(attack.paged.redirected_pages()),
             "final_accuracy": result.accuracies[-1] if result.accuracies else clean,
         }
-    qmodel.restore(snapshot)
+        ctx.qmodel.restore(snapshot)
     return {
         "clean_accuracy": clean,
-        "chance_accuracy": 100.0 / dataset.num_classes,
+        "chance_accuracy": 100.0 / ctx.dataset.num_classes,
         "curves": curves,
         "stats": stats,
     }
@@ -438,9 +428,7 @@ def run_attack_scenario(
     """One cell of the attack x defense matrix, dispatched by name.
 
     Any attack registered with :func:`repro.attacks.register_attack`
-    runs here: the victim comes out of the trained-victim cache, lands
-    in simulated DRAM (unless ``in_dram=False``, the pure software
-    ablation), optionally behind DRAM-Locker, and the attack executes
+    runs here, against the victim :func:`_attack_context` assembles,
     through the registry's uniform ``run_attack`` entry point.
 
     ``defense`` selects the whole defense family by serving name
@@ -453,44 +441,23 @@ def run_attack_scenario(
     scale = scale or Scale.quick()
     defense_builder = None
     if defense is not None:
-        from ..defenses.builders import resolve_serving_defense
-
         protected, defense_builder = resolve_serving_defense(defense)
         if not in_dram:
             raise ValueError("defense= requires in_dram=True")
-    dataset, qmodel = build_victim(arch, scale)
-    clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
-    snapshot = qmodel.snapshot()
-    ctx = AttackContext(
-        qmodel,
-        dataset,
-        seed=scale.seed,
-        attack_batch=scale.attack_batch,
+    ctx, system, clean = _attack_context(
+        scale, arch, protected, in_dram, defense_builder
     )
-    system = None
-    if in_dram:
-        system = build_system(
-            qmodel,
-            protected=protected,
-            seed=scale.seed,
-            defense_builder=defense_builder,
-        )
-        ctx.store = system.store
-        ctx.driver = system.driver
-        if protected:
-            ctx.before_execute = _background_tenant_hook(system)
-    elif protected:
-        raise ValueError("protected=True requires in_dram=True")
+    snapshot = ctx.qmodel.snapshot()
     outcome = run_attack(
         attack, ctx, iterations or scale.attack_iterations, **attack_params
     )
-    qmodel.restore(snapshot)
+    ctx.qmodel.restore(snapshot)
     payload = {
         "arch": arch,
         "protected": protected,
         "in_dram": in_dram,
         "clean_accuracy": clean,
-        "chance_accuracy": 100.0 / dataset.num_classes,
+        "chance_accuracy": 100.0 / ctx.dataset.num_classes,
         **outcome,
     }
     if defense is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..arch.cacti import lock_table_estimate
-from ..attacks.bfa import BFAConfig, ProgressiveBitSearch
+from ..attacks import AttackContext, build_attack
 from ..circuits.montecarlo import MonteCarlo
 from ..nn import memo
 from ..serving.workload import VictimTenant
@@ -86,15 +86,15 @@ class CrossLayerPipeline:
         # the serving subsystem's shared VictimTenant workload.
         tenant = VictimTenant(system.store, system.controller)
         tenant.stream_inference()
-        hook = tenant if self.protected else None
-        attack = ProgressiveBitSearch(
+        ctx = AttackContext(
             qmodel,
             dataset,
-            BFAConfig(attack_batch=self.scale.attack_batch),
             store=system.store,
             driver=system.driver,
-            before_execute=hook,
+            before_execute=tenant if self.protected else None,
+            attack_batch=self.scale.attack_batch,
         )
+        attack = build_attack("bfa", ctx)
         result = attack.run(max(5, self.scale.attack_iterations // 4))
         stats = system.device.stats
         report.system = {

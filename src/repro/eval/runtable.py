@@ -52,7 +52,13 @@ from .harness import (
     run_matrix,
     scenario_result_payload,
 )
-from .regression import _json_fallback, host_meta, save_artifact
+from .regression import (
+    ArtifactError,
+    _json_fallback,
+    host_meta,
+    load_artifact,
+    save_artifact,
+)
 
 __all__ = [
     "RUNTABLE_SCHEMA",
@@ -525,12 +531,11 @@ def _merge_artifacts(paths: list[str]) -> dict:
     journaled by two files must agree, or the merge is refused."""
     merged: dict = {"results": {}}
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            artifact = json.load(handle)
+        artifact = load_artifact(path)
         for name, payload in artifact.get("results", {}).items():
             known = merged["results"].get(name)
             if known is not None and known != payload:
-                raise ValueError(
+                raise ArtifactError(
                     f"cell {name!r} differs between artifacts; refusing "
                     "to merge"
                 )
@@ -557,16 +562,20 @@ def summarize_main(argv: list[str] | None = None) -> int:
              "are reported, not errors)",
     )
     args = parser.parse_args(argv)
-    if args.list:
-        for path in args.artifacts:
-            if not os.path.exists(path):
-                print(f"{path}: not generated yet")
-                continue
-            summary = summarize_groups(_merge_artifacts([path]))
-            for group in summary:
-                print(f"{path}: {group}")
-        return 0
-    merged = _merge_artifacts(args.artifacts)
+    try:
+        if args.list:
+            for path in args.artifacts:
+                if not os.path.exists(path):
+                    print(f"{path}: not generated yet")
+                    continue
+                summary = summarize_groups(_merge_artifacts([path]))
+                for group in summary:
+                    print(f"{path}: {group}")
+            return 0
+        merged = _merge_artifacts(args.artifacts)
+    except (ArtifactError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     summary = summarize_groups(merged, metrics=args.metrics)
     for group, entry in summary.items():
         for path, stats in entry.items():

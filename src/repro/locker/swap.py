@@ -25,7 +25,17 @@ from ..dram.device import DRAMDevice
 from ..isa.executor import MicroExecutor, MicroRegisterFile
 from ..isa.programs import REG_BUFFER, REG_FREE, REG_LOCKED, swap_program
 
-__all__ = ["SwapResult", "SwapEngine"]
+__all__ = ["SWAP_COPIES", "SwapResult", "SwapEngine", "per_copy_error_rate"]
+
+#: RowClone copies in one SWAP micro-program (Fig. 4(b)).
+SWAP_COPIES = 3
+
+
+def per_copy_error_rate(swap_failure_rate: float) -> float:
+    """The per-RowClone failure rate whose :data:`SWAP_COPIES` copies
+    compose to ``swap_failure_rate``, the whole-SWAP rate the paper
+    charges (9.6 % at the +/-20 % corner)."""
+    return 1.0 - (1.0 - swap_failure_rate) ** (1.0 / SWAP_COPIES)
 
 
 @dataclass
@@ -70,7 +80,7 @@ class SwapEngine:
             raise ValueError("SWAP needs three distinct rows")
 
         self.swaps_attempted += 1
-        copies = 3
+        copies = SWAP_COPIES
         failures = int(np.sum(self.rng.random(copies) < self.copy_error_rate))
         rowclone_ns = self.device.timing.rowclone_ns
 

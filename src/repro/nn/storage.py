@@ -196,8 +196,11 @@ class WeightStore:
             row_source = self.row_source
         if not (self._dirty or force or row_source is not None):
             return False
+        # Read every tensor before applying any: a ``row_source`` that
+        # raises partway (the MMU's PageFault) leaves the model as it was.
+        payloads = {}
         for name, tensor in self.qmodel.tensors.items():
-            payload = tensor.to_bytes()
+            payload = payloads[name] = tensor.to_bytes()
             for segment in self._by_tensor[name]:
                 source_row = segment.row if row_source is None else row_source(segment.row)
                 payload[
@@ -205,7 +208,8 @@ class WeightStore:
                 ] = self.device.peek_bytes(
                     source_row, segment.row_offset, segment.length
                 )
-            tensor.from_bytes(payload)
+        for name, payload in payloads.items():
+            self.qmodel.tensors[name].from_bytes(payload)
         self.qmodel.load_into_model()
         self._dirty = False
         return True

@@ -28,6 +28,8 @@ import json
 import os
 import sys
 
+from ..cli import positive_int
+from ..engines import EXECUTION_ENGINES
 from . import Telemetry, enabled_scope
 from .trace import JsonlFormatError, chrome_trace, read_jsonl, write_jsonl
 
@@ -35,9 +37,9 @@ __all__ = ["main"]
 
 
 def _add_demo_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channels", type=int, default=2)
-    parser.add_argument("--slices", type=int, default=8)
-    parser.add_argument("--engine", default="bulk")
+    parser.add_argument("--channels", type=positive_int, default=2)
+    parser.add_argument("--slices", type=positive_int, default=8)
+    parser.add_argument("--engine", choices=EXECUTION_ENGINES, default="bulk")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -40,6 +40,9 @@ import json
 import logging
 import sys
 
+from .cli import positive_int
+from .defenses.builders import DEFENDED_HAMMER_DEFENSES
+from .engines import EXECUTION_ENGINES
 from .obs.logging import LOG_LEVELS, configure_logging
 from .serving import (
     AdmissionConfig,
@@ -60,16 +63,18 @@ logger = logging.getLogger("repro.serve")
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     """The ``ServingConfig`` surface shared by the subcommands."""
-    parser.add_argument("--tenants", type=int, default=4)
-    parser.add_argument("--channels", type=int, default=1)
-    parser.add_argument("--slices", type=int, default=24)
+    parser.add_argument("--tenants", type=positive_int, default=4)
+    parser.add_argument("--channels", type=positive_int, default=1)
+    parser.add_argument("--slices", type=positive_int, default=24)
     parser.add_argument("--ops-per-slice", type=float, default=6.0)
     parser.add_argument(
         "--arrival", choices=("poisson", "bursty"), default="poisson"
     )
     parser.add_argument("--policy", choices=("row", "block"), default="row")
-    parser.add_argument("--defense", default="DRAM-Locker")
-    parser.add_argument("--engine", default="bulk")
+    parser.add_argument(
+        "--defense", choices=DEFENDED_HAMMER_DEFENSES, default="DRAM-Locker"
+    )
+    parser.add_argument("--engine", choices=EXECUTION_ENGINES, default="bulk")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--solo", action="store_true",

@@ -30,15 +30,14 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .. import obs
 from ..controller.request import Kind, MemRequest, RequestRun
-from ..defenses.builders import resolve_serving_defense
+from ..defenses.builders import bind_victim_store, resolve_serving_defense
 from ..dram.config import DRAMConfig
 from ..engines import resolve_engine
 from ..locker.locker import LockerConfig
 from ..locker.planner import LockMode
+from ..locker.swap import per_copy_error_rate
 from .health import VictimHealthMonitor
 from .live import AdmissionConfig, ChannelScaler, ScalingConfig
 from .sharded import ShardedMemorySystem
@@ -192,14 +191,13 @@ class ServingSimulation:
             else config.channels
         )
         dram = DRAMConfig.small().with_channels(built_channels)
-        per_copy = 1.0 - (1.0 - config.swap_failure_rate) ** (1.0 / 3.0)
         self.system = ShardedMemorySystem(
             dram,
             policy=config.policy,
             trh=config.trh,
             protected=protected,
             locker_config=LockerConfig(
-                copy_error_rate=per_copy,
+                copy_error_rate=per_copy_error_rate(config.swap_failure_rate),
                 relock_interval=config.relock_interval,
                 seed=config.seed,
             ),
@@ -412,18 +410,7 @@ class ServingSimulation:
         ]
         if self.protected:
             system.protect(self.victim_rows, mode=LockMode.ADJACENT)
-        # Victim-load-time binding for detect-and-recover defenses:
-        # checksum defenses snapshot the weight rows (RADAR), priority
-        # defenses rank them most-critical-first (DNN-Defender).
-        defense = channel0.defense
-        if hasattr(defense, "bind_store"):
-            defense.bind_store(self.store)
-        if hasattr(defense, "prioritize"):
-            defense.prioritize(self.store.data_rows)
-        if defense is not None:
-            # Syncs/write-backs follow the defense's row translation (a
-            # permuting defense relocates threatened weight rows).
-            self.store.row_source = defense.translate
+        bind_victim_store(channel0.defense, self.store)
 
     def _bit_value(self, system_row: int) -> int:
         value = self.system.peek_bytes(system_row, 0, 1)[0]

@@ -200,7 +200,7 @@ class Trace:
         elif path.suffix == ".jsonl":
             self._save_jsonl(path)
         else:
-            raise ValueError(
+            raise TraceFormatError(
                 f"unknown trace suffix {path.suffix!r}; use .npz or .jsonl"
             )
         return str(path)

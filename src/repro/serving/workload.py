@@ -367,10 +367,7 @@ class GuardRowTenant(GuardRowTraffic):
 
     :class:`GuardRowTraffic` bound to a victim :class:`WeightStore`:
     one privileged guard access per attack campaign, addressed by the
-    attacked weight bit.  Formerly the ad-hoc
-    ``_background_tenant_hook`` closure in ``eval/experiments.py``; the
-    RNG construction and draw order are unchanged, so existing flip
-    sequences stay bit-identical.
+    attacked weight bit.
     """
 
     def __init__(self, store, controller, seed: int = 1):

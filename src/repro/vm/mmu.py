@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..controller.controller import MemoryController
-from .page_table import PageFault, PageTable
+from .page_table import PageTable
 from .pte import PTE, PTE_BYTES, decode_pte, pte_from_bytes
 
 __all__ = ["MMU"]
@@ -41,7 +41,8 @@ class MMU:
                 self._tlb.move_to_end(vpn)
                 self.tlb_hits += 1
                 return cached
-        pfn = self._walk_via_controller(vpn)
+        self.walks += 1
+        pfn = self.page_table.walk(vpn, self._read_pte).pfn
         if self.tlb_entries:
             self._tlb[vpn] = pfn
             if len(self._tlb) > self.tlb_entries:
@@ -54,31 +55,6 @@ class MMU:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _walk_via_controller(self, vpn: int) -> int:
-        table = self.page_table
-        self.walks += 1
-        l1_index = vpn >> table.l2_bits
-        l2_index = vpn & (table.entries_per_table - 1)
-        root_entry = self._read_pte(table.root_row, l1_index)
-        if not root_entry.valid:
-            raise PageFault(f"L1 entry {l1_index} invalid for vpn {vpn}")
-        self._check_frame(root_entry, "L1", l1_index, vpn)
-        leaf_entry = self._read_pte(root_entry.pfn, l2_index)
-        if not leaf_entry.valid:
-            raise PageFault(f"L2 entry {l2_index} invalid for vpn {vpn}")
-        self._check_frame(leaf_entry, "L2", l2_index, vpn)
-        return leaf_entry.pfn
-
-    def _check_frame(self, entry: PTE, level: str, index: int, vpn: int) -> None:
-        """Fault on a frame number past physical memory (a flipped high
-        PFN bit) before anything reads that row."""
-        total = self.controller.device.config.total_rows
-        if entry.pfn >= total:
-            raise PageFault(
-                f"{level} entry {index} for vpn {vpn} points at frame "
-                f"{entry.pfn}, past the device's {total} rows"
-            )
-
     def _read_pte(self, row: int, index: int) -> PTE:
         offset = index * PTE_BYTES
         burst_start = (offset // 64) * 64

@@ -11,6 +11,7 @@ page-table attack needs nothing scripted.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from ..dram.device import DRAMDevice
 from .pte import (
@@ -27,7 +28,8 @@ __all__ = ["PageTable", "PageFault"]
 
 
 class PageFault(RuntimeError):
-    """Raised when translation hits an invalid entry."""
+    """Raised when translation hits an invalid entry or a frame number
+    past physical memory."""
 
 
 class PageTable:
@@ -70,15 +72,22 @@ class PageTable:
     # ------------------------------------------------------------------
     # Walking (hardware side)
     # ------------------------------------------------------------------
-    def walk(self, vpn: int) -> PTE:
-        """Translate by reading the in-DRAM tables (no timing cost)."""
+    def walk(
+        self, vpn: int, read_pte: Callable[[int, int], PTE] | None = None
+    ) -> PTE:
+        """Translate by reading the in-DRAM tables.
+
+        ``read_pte(row, index)`` reads one entry: by default the
+        timing-free :meth:`_load`; the MMU passes its controller-routed
+        read.  An invalid entry, or a frame number past physical memory
+        (a flipped high PFN bit), faults before anything reads that row.
+        """
+        read_pte = read_pte or self._load
         l1_index, l2_index = self._split(vpn)
-        root_entry = self._load(self.root_row, l1_index)
-        if not root_entry.valid:
-            raise PageFault(f"L1 entry {l1_index} invalid for vpn {vpn}")
-        l2_entry = self._load(root_entry.pfn, l2_index)
-        if not l2_entry.valid:
-            raise PageFault(f"L2 entry {l2_index} invalid for vpn {vpn}")
+        root_entry = read_pte(self.root_row, l1_index)
+        self._check(root_entry, "L1", l1_index, vpn)
+        l2_entry = read_pte(root_entry.pfn, l2_index)
+        self._check(l2_entry, "L2", l2_index, vpn)
         return l2_entry
 
     # ------------------------------------------------------------------
@@ -106,6 +115,16 @@ class PageTable:
         if l1_index >= self.entries_per_table:
             raise ValueError(f"vpn {vpn} exceeds two-level reach")
         return l1_index, vpn & (self.entries_per_table - 1)
+
+    def _check(self, entry: PTE, level: str, index: int, vpn: int) -> None:
+        if not entry.valid:
+            raise PageFault(f"{level} entry {index} invalid for vpn {vpn}")
+        total = self.device.config.total_rows
+        if entry.pfn >= total:
+            raise PageFault(
+                f"{level} entry {index} for vpn {vpn} points at frame "
+                f"{entry.pfn}, past the device's {total} rows"
+            )
 
     def _allocate_l2(self, l1_index: int) -> int:
         if not self._spare_rows:

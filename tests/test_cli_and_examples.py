@@ -1,6 +1,8 @@
 """The CLI entry point and example-facing integration seams (cheap paths)."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +226,96 @@ class TestObsBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert path.name in lines[0]
         assert "Traceback" not in captured.err
+
+
+class TestBadArguments:
+    """Flag values and inputs no CLI run can use: exit 2, nothing on
+    stdout, one usage or ``error:`` message on stderr, never a
+    traceback."""
+
+    @staticmethod
+    def _assert_usage_error(capsys, code):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("usage: ", "error: "))
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "nope"], ["--defense", "nope"], ["--tenants", "0"],
+         ["--tenants", "-2"], ["--tenants", "x"], ["--channels", "0"],
+         ["--slices", "0"]],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_serve_record_flags(self, flags, tmp_path, capsys):
+        from repro.serve import main as serve_main
+
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["record", *flags, "--out", str(tmp_path / "t.npz")])
+        err = self._assert_usage_error(capsys, exc.value.code)
+        assert f"argument {flags[0]}: " in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_record_unknown_suffix(self, tmp_path, capsys):
+        from repro.serve import main as serve_main
+
+        out = tmp_path / "trace.txt"
+        code = serve_main(["record", "--slices", "1", "--out", str(out)])
+        err = self._assert_usage_error(capsys, code)
+        assert err.count("\n") == 1 and "'.txt'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_save_raises_the_typed_error(self, tmp_path):
+        from repro.serving import Trace, TraceFormatError
+
+        trace = Trace(ops=[], slices=1, slice_duration_s=1e-3)
+        with pytest.raises(TraceFormatError, match="unknown trace suffix"):
+            trace.save(tmp_path / "trace.txt")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "nope"], ["--channels", "0"], ["--slices", "0"]],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_obs_record_flags(self, flags, tmp_path, capsys):
+        from repro.obs.__main__ import main as obs_main
+
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["record", *flags, "--out", str(tmp_path / "obs")])
+        err = self._assert_usage_error(capsys, exc.value.code)
+        assert f"argument {flags[0]}: " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("listing", [[], ["--list"]], ids=["", "list"])
+    @pytest.mark.parametrize("case", ["missing", "not-json", "not-an-object"])
+    def test_runtable_summarize_bad_artifact(
+        self, case, listing, tmp_path, capsys
+    ):
+        path = tmp_path / f"{case}.json"
+        if case == "not-json":
+            path.write_text("not json\n")
+        elif case == "not-an-object":
+            path.write_text("[1, 2]\n")
+        code = main(["runtable", "summarize", *listing, str(path)])
+        if case == "missing" and listing:
+            # ``--list`` reports a table not run yet; it is not an error.
+            assert code == 0
+            assert capsys.readouterr().out == f"{path}: not generated yet\n"
+            return
+        err = self._assert_usage_error(capsys, code)
+        assert err.count("\n") == 1 and str(path) in err
+
+
+EXAMPLES = sorted((Path(__file__).parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports_without_running(path):
+    """Every example imports against the current package (ruff does not
+    resolve imports) and runs nothing until called as a script."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import PagedWeights
 from repro.controller import MemoryController
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.nn import QuantizedModel, WeightStore, resnet20
@@ -264,8 +265,33 @@ def test_single_flip_translates_in_range_or_faults(data):
     )
     device.flip_bit(row, bit)
     for vpn in CORRUPTED_VPNS:
-        try:
-            frame = mmu.translate(vpn)
-        except PageFault:
-            continue
-        assert 0 <= frame < total
+        # The controller-routed and the timing-free walk are one walk.
+        frames = []
+        for translate in (mmu.translate, lambda vpn: table.walk(vpn).pfn):
+            try:
+                frames.append(translate(vpn))
+            except PageFault:
+                frames.append(PageFault)
+        assert frames[0] == frames[1]
+        assert frames[0] is PageFault or 0 <= frames[0] < total
+
+
+def test_faulting_translation_leaves_the_model_as_it_was():
+    """A sync whose row source faults partway applies nothing: a flip
+    in the first weight row, then a leaf PTE of the last page sent past
+    physical memory, and every tensor keeps its pre-call bytes."""
+    qmodel = QuantizedModel(resnet20(num_classes=4, width=4, input_hw=8, seed=0))
+    device, table = TestPageTable().make_table()
+    store = WeightStore(device, qmodel, guard_rows=True)
+    paged = PagedWeights(store, table, MMU(MemoryController(device), table))
+    device.flip_bit(store.data_rows[0], 3)
+    row, offset = table.pte_location(paged.vpn_of_row[store.data_rows[-1]])
+    high_bit = device.config.total_rows.bit_length()
+    device.flip_bit(row, pfn_bit_positions(offset, high_bit))
+    before = {name: tensor.to_bytes() for name, tensor in qmodel.tensors.items()}
+    dirty = store._dirty
+    with pytest.raises(PageFault, match="past the device"):
+        paged.sync_via_translation()
+    for name, tensor in qmodel.tensors.items():
+        assert (tensor.to_bytes() == before[name]).all(), name
+    assert store._dirty == dirty
