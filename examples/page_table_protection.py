@@ -25,7 +25,7 @@ def main() -> None:
 
     for protected in (False, True):
         qmodel.restore(snapshot)
-        system = build_system(qmodel, protected=protected)
+        system = build_system(qmodel, "DRAM-Locker" if protected else "None")
         mapper = system.device.mapper
         bank = system.device.config.banks - 1
         pt_rows = [mapper.row_index((bank, 0, local)) for local in range(0, 32, 2)]

@@ -26,7 +26,7 @@ def main() -> None:
 
     for protected in (False, True):
         qmodel.restore(snapshot)
-        system = build_system(qmodel, protected=protected)
+        system = build_system(qmodel, "DRAM-Locker" if protected else "None")
         label = "WITH DRAM-Locker" if protected else "WITHOUT protection"
         print(f"\n--- BFA {label} ---")
         if protected:

@@ -1,7 +1,7 @@
 """The attack registry: one dispatch point for every weight attack.
 
-Defenses are dispatched through a name -> factory table
-(``DEFENSE_BUILDERS`` in the harness); attacks get the same treatment
+Defenses are dispatched through name -> factory tables
+(:mod:`repro.defenses.builders`); attacks get the same treatment
 here so the evaluation matrix can enumerate them declaratively.  An
 :class:`AttackSpec` binds a name to
 
@@ -78,10 +78,6 @@ class AttackContext:
         # One uniform unknown-engine error, no matter which layer
         # (controller, session, harness, context) sees the name first.
         resolve_engine(self.engine, allowed=SEARCH_ENGINES, kind="search")
-
-    @property
-    def in_dram(self) -> bool:
-        return self.store is not None
 
 
 AttackBuilder = Callable[..., Attack]

@@ -2,12 +2,8 @@
 
 Everything a downstream user needs to protect a workload:
 
->>> from repro.core import (
-...     DRAMConfig, DRAMDevice, MemoryController, DRAMLocker, LockerConfig,
-... )
->>> device = DRAMDevice(DRAMConfig.small(), trh=1000)
->>> locker = DRAMLocker(device, LockerConfig())
->>> controller = MemoryController(device, locker=locker)
+>>> from repro.core import build_stack
+>>> device, locker, _, controller = build_stack("DRAM-Locker", trh=1000)
 >>> plan = locker.protect([100, 101])     # lock the aggressor rows
 >>> controller.hammer(plan.data_rows and 99).pop().blocked  # doctest: +SKIP
 
@@ -38,6 +34,7 @@ from ..defenses import (
     TWiCE,
     format_table1,
 )
+from ..defenses.stack import build_stack
 from ..dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from ..eval import Scale, build_system, build_victim
 from ..locker import DRAMLocker, LockMode, LockTable, LockerConfig, plan_protection
@@ -88,6 +85,7 @@ __all__ = [
     "TWiCE",
     "VulnerabilityMap",
     "WeightStore",
+    "build_stack",
     "build_system",
     "build_victim",
     "copy_error_rate",

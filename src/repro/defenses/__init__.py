@@ -15,17 +15,12 @@ from .trackers import MisraGries
 from .trr import TRR
 from .twice import TWiCE
 from .overhead import dram_locker_overhead, format_table1, table1_reports
-from .builders import (
-    DEFENSE_BUILDERS,
-    DEFENDED_HAMMER_DEFENSES,
-    resolve_serving_defense,
-)
+from .builders import DEFENSE_BUILDERS, DEFENDED_HAMMER_DEFENSES
 
 __all__ = [
     "CounterPerRow",
     "DEFENSE_BUILDERS",
     "DEFENDED_HAMMER_DEFENSES",
-    "resolve_serving_defense",
     "CounterTree",
     "DNNDefender",
     "Defense",

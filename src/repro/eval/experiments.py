@@ -17,12 +17,11 @@ from ..attacks.bfa import BFAConfig, ProgressiveBitSearch
 from ..attacks.hammer import HammerDriver
 from ..circuits.montecarlo import MonteCarlo, PAPER_ERROR_RATES
 from ..controller.controller import MemoryController
-from ..defenses.builders import bind_victim_store, resolve_serving_defense
 from ..defenses.overhead import format_table1, table1_reports
+from ..defenses.stack import build_stack, place_model_victim
 from ..dram.config import DRAMConfig
 from ..dram.device import DRAMDevice
 from ..dram.timing import trh_table
-from ..dram.vulnerability import VulnerabilityMap
 from ..isa import Opcode, assemble, disassemble, swap_program
 from ..locker.locker import DRAMLocker, LockerConfig
 from ..locker.planner import LockMode, plan_protection
@@ -161,58 +160,52 @@ class ProtectedSystem:
 
 def build_system(
     qmodel: QuantizedModel,
-    protected: bool,
+    defense: str,
     trh: int = WORST_CASE_TRH,
     swap_failure_rate: float = SWAP_FAILURE_RATE,
     seed: int = 0,
-    defense_builder=None,
 ) -> ProtectedSystem:
-    """Place the model's weights in DRAM, with or without DRAM-Locker.
+    """Place the model's weights in DRAM behind ``defense``, a name of
+    :data:`~repro.defenses.builders.DEFENDED_HAMMER_DEFENSES`
+    (``"DRAM-Locker"``, ``"None"`` or a baseline), wired by
+    :func:`~repro.defenses.stack.build_stack` and placed by
+    :func:`~repro.defenses.stack.place_model_victim`, as the serving
+    engine's model victim is.
 
     ``swap_failure_rate`` is the whole-SWAP failure probability the
     paper charges (9.6 % at the +/-20 % corner); the locker's
     per-RowClone rate is :func:`~repro.locker.swap.per_copy_error_rate`
-    of it.  ``defense_builder`` installs a baseline/detect-and-recover
-    defense instance on the controller instead of (or alongside) the
-    locker, bound to the weight store by
-    :func:`~repro.defenses.builders.bind_victim_store`, as the serving
-    engine's model victim is.
+    of it.
     """
-    config = DRAMConfig.small()
-    vulnerability = VulnerabilityMap(config, seed=seed, weak_cell_fraction=5e-5)
-    device = DRAMDevice(config, vulnerability=vulnerability, trh=trh)
-    locker = None
-    if protected:
-        locker = DRAMLocker(
-            device,
-            LockerConfig(
-                copy_error_rate=per_copy_error_rate(swap_failure_rate),
-                relock_interval=2 * trh + 10,
-                seed=seed,
-            ),
-        )
-    defense = defense_builder() if defense_builder is not None else None
-    controller = MemoryController(device, defense=defense, locker=locker)
-    store = WeightStore(device, qmodel, guard_rows=True)
-    if locker is not None:
-        plan = locker.protect(store.data_rows, mode=LockMode.ADJACENT)
-        assert plan.is_complete, "guard-row layout should have no holes"
-    bind_victim_store(defense, store)
-    driver = HammerDriver(controller, patience=2.0)
-    return ProtectedSystem(device, controller, store, driver, locker, defense)
+    stack = build_stack(
+        defense,
+        trh=trh,
+        seed=seed,
+        weak_cell_fraction=5e-5,
+        locker_config=LockerConfig(
+            copy_error_rate=per_copy_error_rate(swap_failure_rate),
+            relock_interval=2 * trh + 10,
+            seed=seed,
+        ),
+    )
+    store = place_model_victim(stack, qmodel)
+    driver = HammerDriver(stack.controller, patience=2.0)
+    return ProtectedSystem(
+        stack.device, stack.controller, store, driver, stack.locker,
+        stack.defense,
+    )
 
 
 def _attack_context(
     scale: Scale,
     arch: str,
-    protected: bool,
+    defense: str,
     in_dram: bool = True,
-    defense_builder=None,
 ) -> tuple[AttackContext, ProtectedSystem | None, float]:
     """The one assembly of every attack experiment: the cached victim,
-    placed in DRAM (unless ``in_dram=False``, the pure software
-    ablation) behind DRAM-Locker or ``defense_builder``'s defense, and
-    an :class:`AttackContext` aimed at it for the attack registry.
+    placed in DRAM behind ``defense`` (see :func:`build_system`; with
+    ``in_dram=False``, the pure software ablation, it stays off DRAM),
+    and an :class:`AttackContext` aimed at it for the attack registry.
 
     A locked victim also gets the multi-tenant guard-row stream: one
     privileged access to a guard row adjacent to the attacker's target
@@ -228,25 +221,18 @@ def _attack_context(
     )
     system = None
     if in_dram:
-        system = build_system(
-            qmodel,
-            protected=protected,
-            seed=scale.seed,
-            defense_builder=defense_builder,
-        )
+        system = build_system(qmodel, defense, seed=scale.seed)
         ctx.store = system.store
         ctx.driver = system.driver
-        if protected:
+        if system.locker is not None:
             ctx.before_execute = GuardRowTenant(
                 system.store, system.controller, seed=1
             )
-    elif protected:
-        raise ValueError("protected=True requires in_dram=True")
     return ctx, system, clean
 
 
 #: The Fig. 8 and PTA runs, open first, by curve label.
-_RUNS = {False: "without DRAM-Locker", True: "with DRAM-Locker"}
+_RUNS = {"None": "without DRAM-Locker", "DRAM-Locker": "with DRAM-Locker"}
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +350,8 @@ def run_fig8(arch: str = "resnet20", scale: Scale | None = None) -> dict:
     scale = scale or Scale.quick()
     curves: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
-    for protected, label in _RUNS.items():
-        cell = run_attack_scenario(scale, "bfa", arch=arch, protected=protected)
+    for defense, label in _RUNS.items():
+        cell = run_attack_scenario(scale, "bfa", arch=arch, defense=defense)
         final = cell["final_accuracy"]
         curves[label] = cell["accuracies"]
         stats[label] = {
@@ -392,8 +378,8 @@ def run_pta(scale: Scale | None = None) -> dict:
     curves: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
     iterations = max(6, scale.attack_iterations // 4)
-    for protected, label in _RUNS.items():
-        ctx, _, clean = _attack_context(scale, "resnet20", protected)
+    for defense, label in _RUNS.items():
+        ctx, _, clean = _attack_context(scale, "resnet20", defense)
         snapshot = ctx.qmodel.snapshot()
         attack = build_attack("pta", ctx)
         result = attack.run(iterations)
@@ -431,22 +417,22 @@ def run_attack_scenario(
     runs here, against the victim :func:`_attack_context` assembles,
     through the registry's uniform ``run_attack`` entry point.
 
-    ``defense`` selects the whole defense family by serving name
-    (``"None"`` / ``"DRAM-Locker"`` / any
+    ``defense`` selects the whole defense family by name (``"None"`` /
+    ``"DRAM-Locker"`` / any
     :data:`~repro.defenses.builders.DEFENDED_HAMMER_DEFENSES` entry,
     e.g. ``"RADAR"`` or ``"DNN-Defender"``), overriding ``protected``;
     the payload then carries a ``"defense"`` section with the instance's
     mitigation accounting -- the bake-off's protection axis.
+    ``protected`` alone stands for ``"DRAM-Locker"`` or ``"None"``.
     """
     scale = scale or Scale.quick()
-    defense_builder = None
-    if defense is not None:
-        protected, defense_builder = resolve_serving_defense(defense)
-        if not in_dram:
-            raise ValueError("defense= requires in_dram=True")
-    ctx, system, clean = _attack_context(
-        scale, arch, protected, in_dram, defense_builder
-    )
+    if not in_dram and (protected or defense is not None):
+        raise ValueError("a defended victim requires in_dram=True")
+    name = defense
+    if name is None:
+        name = "DRAM-Locker" if protected else "None"
+    protected = name == "DRAM-Locker"
+    ctx, system, clean = _attack_context(scale, arch, name, in_dram)
     snapshot = ctx.qmodel.snapshot()
     outcome = run_attack(
         attack, ctx, iterations or scale.attack_iterations, **attack_params
@@ -551,16 +537,8 @@ def run_table2(
 # ----------------------------------------------------------------------
 # Ablations of DRAM-Locker's design choices (DESIGN.md section 6)
 # ----------------------------------------------------------------------
-def _ablation_device(
-    trh: int = 100, half_double: float | None = None
-) -> DRAMDevice:
-    config = DRAMConfig.small()
-    return DRAMDevice(
-        config,
-        vulnerability=VulnerabilityMap(config, weak_cell_fraction=0.0),
-        trh=trh,
-        half_double_factor=half_double,
-    )
+#: The ablations' device TRH: low, so each attack runs in milliseconds.
+_ABLATION_TRH = 100
 
 
 def _half_double_attack(device, controller, victim: int, bit: int) -> bool:
@@ -586,9 +564,9 @@ def run_radius_ablation() -> dict[int, bool]:
     """Lock radius 1 vs 2 against the distance-2 Half-Double pattern."""
     outcomes = {}
     for radius in (1, 2):
-        device = _ablation_device(half_double=2.0)
-        locker = DRAMLocker(device, LockerConfig())
-        controller = MemoryController(device, locker=locker)
+        device, locker, _, controller = build_stack(
+            "DRAM-Locker", trh=_ABLATION_TRH, half_double_factor=2.0
+        )
         victim = device.mapper.row_index((0, 0, 20))
         locker.protect([victim], radius=radius)
         outcomes[radius] = _half_double_attack(device, controller, victim, 3)
@@ -602,7 +580,7 @@ def run_layout_ablation() -> dict[bool, dict]:
     )
     coverage = {}
     for guard in (True, False):
-        device = _ablation_device()
+        device = build_stack("None", trh=_ABLATION_TRH).device
         store = WeightStore(device, qmodel, guard_rows=guard)
         plan = plan_protection(
             device.mapper, store.data_rows, mode=LockMode.ADJACENT
@@ -622,9 +600,11 @@ def run_relock_ablation(
     """Re-lock interval vs unlock/restore SWAP traffic under tenant load."""
     results = {}
     for interval in intervals:
-        device = _ablation_device()
-        locker = DRAMLocker(device, LockerConfig(relock_interval=interval))
-        controller = MemoryController(device, locker=locker)
+        device, locker, _, controller = build_stack(
+            "DRAM-Locker",
+            trh=_ABLATION_TRH,
+            locker_config=LockerConfig(relock_interval=interval),
+        )
         locker.lock_rows([21])
         rng = np.random.default_rng(seed)
         for _ in range(2000):

@@ -80,7 +80,9 @@ class CrossLayerPipeline:
         # 3+4. System and application levels.
         dataset, qmodel = build_victim(self.arch, self.scale)
         clean = memo.accuracy(qmodel.model, dataset.test_x, dataset.test_y)
-        system = build_system(qmodel, protected=self.protected)
+        system = build_system(
+            qmodel, "DRAM-Locker" if self.protected else "None"
+        )
         # The victim's own request mix -- weight-streaming inference
         # plus the guard-row traffic that opens unlock windows -- is
         # the serving subsystem's shared VictimTenant workload.

@@ -14,20 +14,12 @@ names there reaches every cell.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..attacks.hammer import HammerDriver
-from ..controller.controller import MemoryController
-from ..defenses.builders import (
-    DEFENSE_BUILDERS,
-    DEFENDED_HAMMER_DEFENSES,
-    resolve_serving_defense,
-)
-from ..dram.config import DRAMConfig
-from ..dram.device import DRAMDevice
-from ..dram.vulnerability import VulnerabilityMap
+from ..defenses.builders import DEFENSE_BUILDERS
+from ..defenses.stack import build_stack
 from ..engines import resolve_engine
-from ..locker.locker import DRAMLocker, LockerConfig
 from . import experiments
 from .experiments import Scale
 from .faults import ChannelFault
@@ -75,48 +67,18 @@ def _run_layout_ablation(scale: Scale, seed: int) -> dict:
     }
 
 
-def _defended_device(
-    defense: str,
-    builders: dict,
-    trh: int,
-    victim_locals: Iterable[int],
-    engine: str = "bulk",
-) -> tuple[DRAMDevice, list[int], object | None, MemoryController]:
-    """A small fault-free device and a controller guarding its victim
-    rows (bank 0, subarray 0, at ``victim_locals``) with ``defense``:
-    DRAM-Locker protecting those rows, or the baseline ``builders``
-    makes under that name.  Returns ``(device, victim_rows, baseline,
-    controller)``; ``baseline`` is ``None`` under DRAM-Locker."""
-    config = DRAMConfig.small()
-    vulnerability = VulnerabilityMap(config, weak_cell_fraction=0.0)
-    device = DRAMDevice(config, vulnerability=vulnerability, trh=trh)
-    victim_rows = [
-        device.mapper.row_index((0, 0, local)) for local in victim_locals
-    ]
-    locker = None
-    baseline = None
-    if defense == "DRAM-Locker":
-        locker = DRAMLocker(device, LockerConfig())
-        locker.protect(victim_rows)
-    else:
-        builder = builders.get(defense)
-        if builder is None:
-            raise ValueError(f"unknown defense {defense!r}")
-        baseline = builder()
-    controller = MemoryController(
-        device, defense=baseline, locker=locker, engine=engine
-    )
-    return device, victim_rows, baseline, controller
-
-
 def _run_defense_campaign(
     scale: Scale, seed: int, defense: str = "None", trh: int = 400
 ) -> dict:
-    """Double-sided hammering of one templated bit under one defense --
-    the per-contender unit of ``examples/compare_defenses.py``."""
-    device, (victim,), baseline, controller = _defended_device(
-        defense, DEFENSE_BUILDERS, trh, [20]
+    """Double-sided hammering of one templated bit under one defense,
+    a :data:`~repro.defenses.builders.DEFENSE_BUILDERS` name -- the
+    per-contender unit of ``examples/compare_defenses.py``."""
+    device, locker, baseline, controller = build_stack(
+        defense, DEFENSE_BUILDERS, trh=trh
     )
+    victim = device.mapper.row_index((0, 0, 20))
+    if locker is not None:
+        locker.protect([victim])
     device.vulnerability.register_template(victim, [_VICTIM_BIT])
     flipped = False
     for _ in range(3 * trh):
@@ -157,15 +119,19 @@ def _run_defended_hammer(
     defense: double-sided TRH-burst campaigns against templated victim
     bits -- the defended analogue of the attack matrix's hammer layer
     and the unit ``benchmarks/bench_defended_hammer.py`` times scalar
-    vs bulk.  Deterministic for fixed parameters; the payload carries
-    no wall-clock, so engines must agree bit-for-bit."""
-    device, victim_rows, baseline, controller = _defended_device(
-        defense,
-        DEFENDED_HAMMER_DEFENSES,
-        trh,
-        [15 + 6 * index for index in range(victims)],
-        engine=engine,
+    vs bulk.  ``defense`` is a
+    :data:`~repro.defenses.builders.DEFENDED_HAMMER_DEFENSES` name.
+    Deterministic for fixed parameters; the payload carries no
+    wall-clock, so engines must agree bit-for-bit."""
+    device, locker, baseline, controller = build_stack(
+        defense, trh=trh, engine=engine
     )
+    victim_rows = [
+        device.mapper.row_index((0, 0, 15 + 6 * index))
+        for index in range(victims)
+    ]
+    if locker is not None:
+        locker.protect(victim_rows)
     driver = HammerDriver(controller, patience=patience)
 
     outcomes = []
@@ -196,10 +162,6 @@ def _run_defended_hammer(
     }
 
 
-#: Defense cells of the serving matrix.  ``"DRAM-Locker"`` installs one
-#: locker per channel; baseline names install one defense instance per
-#: channel from :data:`DEFENDED_HAMMER_DEFENSES`; ``"None"`` is the
-#: undefended system.
 def _run_serving(
     scale: Scale,
     seed: int,
@@ -224,14 +186,19 @@ def _run_serving(
     through the victim cache) resides on channel 0 and its accuracy is
     measured before/after the co-located campaign.
 
+    ``defense`` is installed on every channel as
+    :class:`~repro.serving.ServingSimulation` installs
+    ``config.defense``; the payload's ``config`` section keeps the
+    config's default name (``"DRAM-Locker"``) whatever ran, and its
+    top-level ``"defense"`` names what did.
+
     ``fault_channel >= 0`` fails that channel (a deterministic
     :class:`~repro.eval.faults.ChannelFault`, activating at the
     boundary closing ``fault_slice``); the payload then carries a
     ``"fault"`` section with the conservation tally.
     """
-    from ..serving import ServingConfig, run_serving
+    from ..serving import ServingConfig, ServingSimulation
 
-    protected, builder = resolve_serving_defense(defense)
     model_victim = None
     if victim == "model":
         model_victim = experiments.build_victim(
@@ -252,13 +219,9 @@ def _run_serving(
     fault = None
     if fault_channel >= 0:
         fault = ChannelFault(channel=fault_channel, at_slice=fault_slice)
-    payload = run_serving(
-        config,
-        protected=protected,
-        defense_builder=builder,
-        model_victim=model_victim,
-        fault=fault,
-    )
+    payload = ServingSimulation(
+        config, defense=defense, model_victim=model_victim, fault=fault
+    ).run()
     payload["defense"] = defense
     return payload
 
@@ -409,7 +372,7 @@ def _run_defense_bakeoff(
     shared-victim-cache convention); ``seed`` drives the serving
     workload RNG streams.
     """
-    from ..serving import HealthConfig, ServingConfig, run_serving
+    from ..serving import HealthConfig, ServingConfig, ServingSimulation
 
     victim_scale = replace(scale, seed=0)
     payload: dict = {
@@ -428,7 +391,6 @@ def _run_defense_bakeoff(
             **attack_params,
         )
     if serving:
-        protected, builder = resolve_serving_defense(defense)
         health = HealthConfig(
             probe_interval=probe_interval,
             quarantine_slices=quarantine_slices,
@@ -443,13 +405,11 @@ def _run_defense_bakeoff(
             seed=seed,
             defense=defense,
         )
-        payload["serving_phase"] = run_serving(
+        payload["serving_phase"] = ServingSimulation(
             config,
-            protected=protected,
-            defense_builder=builder,
             model_victim=experiments.build_victim(arch, victim_scale),
             health=health,
-        )
+        ).run()
     return payload
 
 

@@ -45,7 +45,7 @@ def _add_demo_args(parser: argparse.ArgumentParser) -> None:
 
 def _record_demo(args: argparse.Namespace) -> Telemetry:
     """One deterministic serving cell under telemetry."""
-    from ..serving import ServingConfig, run_serving
+    from ..serving import ServingConfig, ServingSimulation
 
     config = ServingConfig(
         tenants=3,
@@ -58,7 +58,7 @@ def _record_demo(args: argparse.Namespace) -> Telemetry:
         defense="DRAM-Locker",
     )
     with enabled_scope() as telemetry:
-        run_serving(config, protected=True)
+        ServingSimulation(config).run()
     return telemetry
 
 

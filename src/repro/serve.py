@@ -24,7 +24,8 @@ Subcommands:
 Exit codes (pinned by ``tests/test_serving_live.py`` and
 ``tests/test_cli_and_examples.py``): 0 success, 1 verification
 mismatch, 2 usage error (argparse; or, as one stderr line, a path that
-cannot be opened or a trace whose bytes do not parse --
+cannot be opened, a trace whose bytes do not parse or that embeds no
+serving config, or an ``--out`` suffix no encoding has --
 :class:`~repro.serving.trace.TraceFormatError`), 3 runtime serving
 failure (:class:`~repro.serving.live.LiveServingError` -- worker death,
 queue wedge).  ``--log-level`` turns on structured jsonl
@@ -49,11 +50,14 @@ from .serving import (
     LiveServingError,
     ServingConfig,
     ServingResult,
+    ServingSimulation,
     Trace,
     TraceFormatError,
+    embedded_config,
     record_serving_trace,
     replay_neutral,
     serve,
+    trace_suffix,
 )
 
 __all__ = ["main"]
@@ -161,6 +165,9 @@ def _summarize(result: ServingResult, as_json: bool) -> None:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     """The ``record`` subcommand."""
+    # The suffix picks the encoding; a bad one fails before the workload
+    # is generated and calibrated.
+    trace_suffix(args.out)
     config = _config(args)
     trace = record_serving_trace(
         config,
@@ -178,16 +185,15 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load(path: str) -> tuple[Trace, ServingConfig]:
+    """A trace file and the serving config its header embeds."""
+    trace = Trace.load(path)
+    return trace, embedded_config(trace, source=path)
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     """The ``replay`` subcommand (optionally verifying equivalence)."""
-    trace = Trace.load(args.trace)
-    from .serving import config_from_dict
-
-    embedded = trace.meta.get("serving_config")
-    if embedded is None:
-        print("error: trace has no embedded serving config")
-        return 1
-    config = config_from_dict(embedded)
+    trace, config = _load(args.trace)
     admission = _admission(args)
     if args.verify and admission is not None:
         print("error: --verify compares the pure replay; drop the "
@@ -203,8 +209,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     _summarize(result, args.json)
     if args.verify:
-        from .serving import ServingSimulation
-
         closed = ServingSimulation(config).run()
         if replay_neutral(result.payload) != replay_neutral(closed):
             logger.error("replay diverged from the closed loop")
@@ -216,15 +220,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_live(args: argparse.Namespace) -> int:
     """The ``live`` subcommand (threaded wall-clock pacing)."""
-    trace = Trace.load(args.trace)
-    from .serving import config_from_dict
-
-    embedded = trace.meta.get("serving_config")
-    if embedded is None:
-        print("error: trace has no embedded serving config")
-        return 1
+    trace, config = _load(args.trace)
     config = dataclasses.replace(
-        config_from_dict(embedded),
+        config,
         admission=_admission(args),
         trace=None,
         speedup=args.speedup,

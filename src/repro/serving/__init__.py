@@ -20,12 +20,13 @@ from .api import (
     SOURCE_KNOBS,
     ServingResult,
     config_from_dict,
+    embedded_config,
     record_serving_trace,
     replay_neutral,
     replay_trace,
     serve,
 )
-from .engine import ServingConfig, ServingSimulation, run_serving
+from .engine import ServingConfig, ServingSimulation
 from .health import HealthConfig, VictimHealthMonitor
 from .live import (
     AdmissionConfig,
@@ -50,6 +51,7 @@ from .trace import (
     TraceOp,
     record_workload,
     requests_equal,
+    trace_suffix,
 )
 from .workload import (
     GuardRowTenant,
@@ -95,13 +97,14 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadOp",
     "config_from_dict",
+    "embedded_config",
     "make_tenants",
     "record_serving_trace",
     "record_workload",
     "replay_neutral",
     "replay_trace",
     "requests_equal",
-    "run_serving",
     "serve",
+    "trace_suffix",
     "zipf_weights",
 ]

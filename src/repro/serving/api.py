@@ -1,7 +1,9 @@
 """The public serving facade: one config in, one typed result out.
 
-:func:`serve` is the single entry point the CLI, the harness runner,
-and the benches share.  It dispatches on the config:
+:func:`serve` is the entry point of ``python -m repro.serve``, the
+``serving_live`` scenario runner and the live-serving bench; the other
+scenario runners build a :class:`ServingSimulation` directly.  It
+dispatches on the config:
 
 * no trace -> the classic closed-loop :class:`ServingSimulation` run;
 * a trace and ``speedup == 0`` -> deterministic synchronous replay
@@ -29,7 +31,7 @@ from .live import (
     LiveServer,
     ScalingConfig,
 )
-from .trace import Trace, record_workload
+from .trace import Trace, TraceFormatError, record_workload
 
 __all__ = [
     "SOURCE_KNOBS",
@@ -39,6 +41,7 @@ __all__ = [
     "replay_trace",
     "replay_neutral",
     "config_from_dict",
+    "embedded_config",
 ]
 
 #: The ``ServingConfig`` fields that say where the request stream comes
@@ -66,6 +69,18 @@ def config_from_dict(data: dict) -> ServingConfig:
     if isinstance(scaling, dict):
         kwargs["scaling"] = ScalingConfig(**scaling)
     return ServingConfig(**kwargs)
+
+
+def embedded_config(trace: Trace, source: str = "trace") -> ServingConfig:
+    """The :class:`ServingConfig` a recorded trace's header embeds.
+
+    Raises :class:`~repro.serving.trace.TraceFormatError`, naming
+    ``source``, when the header holds none.
+    """
+    embedded = trace.meta.get("serving_config")
+    if embedded is None:
+        raise TraceFormatError(f"{source}: no embedded serving config")
+    return config_from_dict(embedded)
 
 
 def replay_neutral(payload: dict) -> dict:
@@ -189,8 +204,6 @@ def replay_trace(
     trace: Trace,
     *,
     config: ServingConfig | None = None,
-    protected: bool | None = None,
-    defense_builder=None,
     model_victim=None,
     sim: ServingSimulation | None = None,
     fault=None,
@@ -204,24 +217,16 @@ def replay_trace(
     :func:`replay_neutral`).  Admission decisions, when enabled, are
     pure functions of the trace and the seed.
 
-    ``config`` defaults to the one embedded in the trace header;
-    ``sim`` lets tests hand in a pre-built simulation so they can
-    inspect locker/RNG state afterwards.  ``fault`` forwards an
-    optional :class:`repro.eval.faults.ChannelFault` (ignored when a
-    pre-built ``sim`` is passed -- construct that with the fault).
+    ``config`` defaults to the one embedded in the trace header
+    (:func:`embedded_config`); ``sim`` lets tests hand in a pre-built
+    simulation so they can inspect locker/RNG state afterwards.
+    ``fault`` forwards an optional
+    :class:`repro.eval.faults.ChannelFault` (ignored when a pre-built
+    ``sim`` is passed -- construct that with the fault).
     """
     if sim is None:
-        if config is None:
-            embedded = trace.meta.get("serving_config")
-            if embedded is None:
-                raise ValueError(
-                    "trace has no embedded serving config; pass config="
-                )
-            config = config_from_dict(embedded)
         sim = ServingSimulation(
-            config,
-            protected=protected,
-            defense_builder=defense_builder,
+            config or embedded_config(trace),
             model_victim=model_victim,
             fault=fault,
         )

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .. import obs
 from ..controller.request import Kind, MemRequest, RequestRun
-from ..defenses.builders import bind_victim_store, resolve_serving_defense
+from ..defenses.stack import place_model_victim
 from ..dram.config import DRAMConfig
 from ..engines import resolve_engine
 from ..locker.locker import LockerConfig
@@ -50,7 +50,7 @@ from .workload import (
     make_tenants,
 )
 
-__all__ = ["ServingConfig", "ServingSimulation", "run_serving"]
+__all__ = ["ServingConfig", "ServingSimulation"]
 
 #: Channel-local victim row (subarray 0) for the bit-victim shape.
 VICTIM_LOCAL_ROW = 20
@@ -94,11 +94,12 @@ class ServingConfig:
     relock_interval: int = 200
     engine: str = "bulk"
     seed: int = 0
-    #: Defense by name (``"DRAM-Locker"`` installs per-channel lockers,
-    #: ``"None"`` runs undefended, any other name resolves through
-    #: :data:`repro.defenses.builders.DEFENDED_HAMMER_DEFENSES`).
-    #: Explicit ``protected=`` / ``defense_builder=`` arguments to
-    #: :class:`ServingSimulation` override this.
+    #: Defense by name, as :func:`repro.defenses.stack.build_stack`
+    #: installs it on every channel: ``"DRAM-Locker"`` per-channel
+    #: lockers, ``"None"`` nothing, any other
+    #: :data:`repro.defenses.builders.DEFENDED_HAMMER_DEFENSES` name one
+    #: instance per channel.  ``ServingSimulation(defense=...)``
+    #: overrides it without changing the payload's ``config`` section.
     defense: str = "DRAM-Locker"
     #: Admission control for trace replay / live runs (``None`` admits
     #: everything -- the closed-loop behaviour).
@@ -140,16 +141,14 @@ class ServingSimulation:
         self,
         config: ServingConfig,
         *,
-        protected: bool | None = None,
-        defense_builder=None,
+        defense: str | None = None,
         model_victim=None,
         fault=None,
         health=None,
     ):
-        """``protected`` installs per-channel DRAM-Lockers;
-        ``defense_builder`` instead (or additionally) installs one
-        baseline-defense instance per channel; when both are left at
-        ``None`` they resolve from ``config.defense`` by name.
+        """``defense`` names the defense instead of ``config.defense``
+        (the ``serving`` scenario runner's override; the payload's
+        ``config`` section keeps ``config.defense``).
         ``model_victim`` is an optional ``(dataset, qmodel)`` pair
         placed on channel 0.  ``fault`` is an optional
         :class:`repro.eval.faults.ChannelFault` (kept out of
@@ -166,14 +165,7 @@ class ServingSimulation:
         channel on detected corruption (sheds booked with reason
         ``"integrity_fault"``), and recovers the weights.
         """
-        if protected is None and defense_builder is None:
-            protected, defense_builder = resolve_serving_defense(
-                config.defense
-            )
-        elif protected is None:
-            protected = False
         self.config = config
-        self.protected = protected
         self.fault = fault
         self._fault_active = False
         self._slices_closed = 0
@@ -195,16 +187,16 @@ class ServingSimulation:
             dram,
             policy=config.policy,
             trh=config.trh,
-            protected=protected,
+            defense=config.defense if defense is None else defense,
             locker_config=LockerConfig(
                 copy_error_rate=per_copy_error_rate(config.swap_failure_rate),
                 relock_interval=config.relock_interval,
                 seed=config.seed,
             ),
-            defense_builder=defense_builder,
             seed=config.seed,
             engine=config.engine,
         )
+        self.protected = self.system.channels[0].locker is not None
         if fault is not None:
             if not 0 <= fault.channel < built_channels:
                 raise ValueError(
@@ -381,13 +373,11 @@ class ServingSimulation:
     def _attach_model_victim(self, dataset, qmodel) -> None:
         """A DNN resident on channel 0, its data rows protected."""
         from ..nn import memo
-        from ..nn.storage import WeightStore
 
         system = self.system
-        channel0 = system.channels[0]
         self.dataset = dataset
         self.qmodel = qmodel
-        self.store = WeightStore(channel0.device, qmodel, guard_rows=True)
+        self.store = place_model_victim(system.channels[0], qmodel)
         self.clean_accuracy = memo.accuracy(
             qmodel.model, dataset.test_x, dataset.test_y
         )
@@ -408,9 +398,6 @@ class ServingSimulation:
         self._initial_bits = [
             self._bit_value(row) for row in self._campaign_rows
         ]
-        if self.protected:
-            system.protect(self.victim_rows, mode=LockMode.ADJACENT)
-        bind_victim_store(channel0.defense, self.store)
 
     def _bit_value(self, system_row: int) -> int:
         value = self.system.peek_bytes(system_row, 0, 1)[0]
@@ -714,30 +701,3 @@ class ServingSimulation:
                 ),
             }
         return payload
-
-
-def run_serving(
-    config: ServingConfig,
-    *,
-    protected: bool | None = None,
-    defense_builder=None,
-    model_victim=None,
-    fault=None,
-    health=None,
-) -> dict:
-    """Build and run one serving cell; returns the scenario payload.
-
-    A thin shim over :class:`ServingSimulation` kept for the harness's
-    existing call sites; the richer entry point is
-    :func:`repro.serving.serve`, which also understands traces,
-    admission control, and live pacing.  ``fault`` forwards an optional
-    :class:`repro.eval.faults.ChannelFault`, ``health`` an optional
-    :class:`repro.serving.health.HealthConfig`."""
-    return ServingSimulation(
-        config,
-        protected=protected,
-        defense_builder=defense_builder,
-        model_victim=model_victim,
-        fault=fault,
-        health=health,
-    ).run()

@@ -27,7 +27,7 @@ is identical to driving a bare ``MemoryController``
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .. import obs
 from ..controller.controller import MemoryController, make_summary_sink
@@ -40,10 +40,10 @@ from ..controller.request import (
     RunSummary,
 )
 from ..defenses.base import Defense
+from ..defenses.stack import build_stack
 from ..dram.address import ChannelInterleaver
 from ..dram.config import DRAMConfig
 from ..dram.device import DRAMDevice
-from ..dram.vulnerability import VulnerabilityMap
 from ..locker.locker import DRAMLocker, LockerConfig
 from ..locker.planner import LockMode, ProtectionPlan
 from .workload import derive_seed
@@ -84,56 +84,46 @@ class ShardedMemorySystem:
         *,
         policy: str = "row",
         trh: int | None = None,
-        protected: bool = False,
+        defense: str = "None",
         locker_config: LockerConfig | None = None,
-        defense_builder: Callable[[], Defense] | None = None,
         weak_cell_fraction: float = 0.0,
         seed: int = 0,
         engine: str = "bulk",
     ):
-        """Build the per-channel stacks.
+        """Build the per-channel stacks, each defended as ``defense``
+        names it in :data:`~repro.defenses.builders.DEFENDED_HAMMER_DEFENSES`
+        (:func:`~repro.defenses.stack.build_stack`).
 
-        ``protected`` installs one DRAM-Locker per channel (its own
-        lock table, swap engine, and free-row pools); ``locker_config``
-        is the channel-0 template -- other channels get a re-seeded
-        copy so their swap-failure draws are independent.
-        ``defense_builder`` is a factory called once per channel, the
-        same way the harness's ``DEFENSE_BUILDERS`` entries are.
-        Channel 0 uses ``seed`` itself (the single-channel equivalence
-        anchor); channel ``c > 0`` derives ``derive_seed(f"channel-{c}",
-        seed)``.
+        Under ``"DRAM-Locker"`` every channel gets its own locker (lock
+        table, swap engine, free-row pools); ``locker_config`` is the
+        channel-0 template -- other channels get a re-seeded copy so
+        their swap-failure draws are independent.  A baseline name gets
+        one defense instance per channel.  Channel 0 uses ``seed``
+        itself (the single-channel equivalence anchor); channel
+        ``c > 0`` derives ``derive_seed(f"channel-{c}", seed)``.
         """
         self.config = config
         self.interleaver = ChannelInterleaver(config, policy=policy)
         self.engine = engine
         channel_config = config.channel_config()
+        template = locker_config or LockerConfig()
         self.channels: list[ChannelState] = []
         for index in range(config.channels):
             channel_seed = self.channel_seed(index, seed)
-            device = DRAMDevice(
-                channel_config,
-                vulnerability=VulnerabilityMap(
-                    channel_config,
-                    seed=channel_seed,
-                    weak_cell_fraction=weak_cell_fraction,
-                ),
+            device, locker, instance, controller = build_stack(
+                defense,
+                config=channel_config,
                 trh=trh,
-            )
-            locker = None
-            if protected:
-                template = locker_config or LockerConfig()
-                locker = DRAMLocker(
-                    device,
-                    template
-                    if index == 0
-                    else replace(template, seed=channel_seed),
-                )
-            defense = defense_builder() if defense_builder is not None else None
-            controller = MemoryController(
-                device, defense=defense, locker=locker, engine=engine
+                seed=channel_seed,
+                weak_cell_fraction=weak_cell_fraction,
+                locker_config=(
+                    template if index == 0
+                    else replace(template, seed=channel_seed)
+                ),
+                engine=engine,
             )
             self.channels.append(
-                ChannelState(index, device, controller, locker, defense)
+                ChannelState(index, device, controller, locker, instance)
             )
         # Channels marked failed by fault injection; callers (the
         # serving engine) must route or shed around them -- the stacks
@@ -227,7 +217,7 @@ class ShardedMemorySystem:
         for index, rows in sorted(per_channel.items()):
             locker = self.channels[index].locker
             if locker is None:
-                raise RuntimeError("system built without lockers (protected=False)")
+                raise RuntimeError("system built without lockers (defense is not DRAM-Locker)")
             plans[index] = locker.protect(rows, mode=mode, radius=radius)
         return plans
 

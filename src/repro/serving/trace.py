@@ -47,6 +47,7 @@ __all__ = [
     "TraceFormatError",
     "record_workload",
     "requests_equal",
+    "trace_suffix",
 ]
 
 #: Format tag stored in every trace file; bumped on layout changes.
@@ -61,6 +62,18 @@ class TraceFormatError(ValueError):
     """A trace file's bytes are not a trace of :data:`TRACE_SCHEMA`:
     an unknown suffix, an unreadable encoding, a foreign schema, or a
     missing or mistyped field."""
+
+
+def trace_suffix(path: str | Path) -> str:
+    """The suffix of a trace path, which picks its encoding: ``.npz``
+    (columnar) or ``.jsonl`` (line-oriented).  Any other raises
+    :class:`TraceFormatError`."""
+    suffix = Path(path).suffix
+    if suffix not in (".npz", ".jsonl"):
+        raise TraceFormatError(
+            f"unknown trace suffix {suffix!r}; use .npz or .jsonl"
+        )
+    return suffix
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,17 +205,13 @@ class Trace:
     # Serialization
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> str:
-        """Write the trace; the suffix picks the encoding
-        (``.npz`` columnar or ``.jsonl`` line-oriented)."""
+        """Write the trace, encoded as its suffix picks
+        (:func:`trace_suffix`)."""
         path = Path(path)
-        if path.suffix == ".npz":
+        if trace_suffix(path) == ".npz":
             self._save_npz(path)
-        elif path.suffix == ".jsonl":
-            self._save_jsonl(path)
         else:
-            raise TraceFormatError(
-                f"unknown trace suffix {path.suffix!r}; use .npz or .jsonl"
-            )
+            self._save_jsonl(path)
         return str(path)
 
     @classmethod
@@ -214,11 +223,7 @@ class Trace:
         """
         path = Path(path)
         readers = {".npz": cls._load_npz, ".jsonl": cls._load_jsonl}
-        reader = readers.get(path.suffix)
-        if reader is None:
-            raise TraceFormatError(
-                f"unknown trace suffix {path.suffix!r}; use .npz or .jsonl"
-            )
+        reader = readers[trace_suffix(path)]
         try:
             return reader(path)
         except (OSError, TraceFormatError):

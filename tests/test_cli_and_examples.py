@@ -177,6 +177,32 @@ class TestServeBadTrace:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize(
+        "command", [["replay"], ["live", "--speedup", "10"]]
+    )
+    def test_trace_without_serving_config_exits_2_with_one_line(
+        self, command, tmp_path, capsys
+    ):
+        from repro.serve import main as serve_main
+        from repro.serving import Trace
+
+        path = tmp_path / "trace.npz"
+        Trace(ops=[], slices=1, slice_duration_s=1e-3).save(path)
+        assert serve_main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path.name in lines[0] and "serving config" in lines[0]
+
+    def test_replay_trace_without_serving_config_raises_the_typed_error(self):
+        from repro.serving import Trace, TraceFormatError, replay_trace
+
+        trace = Trace(ops=[], slices=1, slice_duration_s=1e-3)
+        with pytest.raises(TraceFormatError, match="no embedded serving config"):
+            replay_trace(trace)
+
+
 class TestObsBadInput:
     """``python -m repro.obs export|audit --input`` on a file that cannot
     be read or parsed as jsonl: one stderr line and exit 2, never a
@@ -263,6 +289,23 @@ class TestBadArguments:
 
         out = tmp_path / "trace.txt"
         code = serve_main(["record", "--slices", "1", "--out", str(out)])
+        err = self._assert_usage_error(capsys, code)
+        assert err.count("\n") == 1 and "'.txt'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_record_checks_the_suffix_before_recording(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve
+
+        def record(*args, **kwargs):
+            raise AssertionError("recorded before checking the --out suffix")
+
+        monkeypatch.setattr(repro.serve, "record_serving_trace", record)
+        out = tmp_path / "trace.txt"
+        code = repro.serve.main(
+            ["record", "--channels", "4", "--out", str(out)]
+        )
         err = self._assert_usage_error(capsys, code)
         assert err.count("\n") == 1 and "'.txt'" in err
         assert list(tmp_path.iterdir()) == []

@@ -17,16 +17,21 @@ from hypothesis import strategies as st
 
 from repro.controller import Kind, MemRequest, MemoryController, RequestRun
 from repro.controller.controller import ENGINES
+from repro.defenses import NoDefense
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.defenses.builders import DEFENDED_HAMMER_DEFENSES
 from repro.locker import DRAMLocker, LockerConfig
-from repro.serving import ServingConfig, run_serving
+from repro.serving import ServingConfig, ServingSimulation
 
-DEFENSE_NAMES = [
-    name
+#: Every table name that installs a ``Defense``, and ``"None"`` as
+#: ``NoDefense`` (the table installs nothing for it), so its bulk hooks
+#: stay in the grid.
+DEFENSE_FACTORIES = {
+    name: builder or NoDefense
     for name, builder in DEFENDED_HAMMER_DEFENSES.items()
-    if builder is not None
-]
+    if name != "DRAM-Locker"
+}
+DEFENSE_NAMES = list(DEFENSE_FACTORIES)
 
 FAST_ENGINES = [engine for engine in ENGINES if engine != "scalar"]
 
@@ -51,7 +56,7 @@ def _build(engine, *, defense_name=None, protected=False, trh=100,
         )
         locker.lock_rows([9, 11, 21])
     defense = (
-        DEFENDED_HAMMER_DEFENSES[defense_name]() if defense_name else None
+        DEFENSE_FACTORIES[defense_name]() if defense_name else None
     )
     controller = MemoryController(
         device, defense=defense, locker=locker, engine=engine
@@ -250,11 +255,7 @@ def test_generated_streams_scalar_matches_bulk(
 # Serving grid: defense x channels x engines, whole payloads
 # ----------------------------------------------------------------------
 def _serving_payload(engine, defense, channels):
-    protected = defense == "DRAM-Locker"
-    builder = None if defense in ("None", "DRAM-Locker") else (
-        DEFENDED_HAMMER_DEFENSES[defense]
-    )
-    payload = run_serving(
+    payload = ServingSimulation(
         ServingConfig(
             tenants=3,
             channels=channels,
@@ -263,10 +264,9 @@ def _serving_payload(engine, defense, channels):
             colocated=True,
             engine=engine,
             seed=1,
+            defense=defense,
         ),
-        protected=protected,
-        defense_builder=builder,
-    )
+    ).run()
     payload["config"].pop("engine")
     return payload
 

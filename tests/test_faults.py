@@ -43,7 +43,6 @@ from repro.serving import (
     record_serving_trace,
     replay_neutral,
     replay_trace,
-    run_serving,
 )
 
 QUICK = Scale.quick()
@@ -274,7 +273,7 @@ def _fault_config(**overrides) -> ServingConfig:
 class TestChannelFaults:
     def test_fail_fault_conserves_and_protects(self):
         fault = ChannelFault(channel=1, kind="fail", at_slice=3)
-        payload = run_serving(_fault_config(), fault=fault)
+        payload = ServingSimulation(_fault_config(), fault=fault).run()
         section = payload["fault"]
         assert section["active"] and section["failed_channels"] == [1]
         assert section["conserved"]
@@ -296,26 +295,29 @@ class TestChannelFaults:
 
     def test_fault_free_payload_shape_unchanged(self):
         config = _fault_config()
-        assert run_serving(config) == run_serving(config, fault=None)
-        assert "fault" not in run_serving(config)
+        assert (
+            ServingSimulation(config).run()
+            == ServingSimulation(config, fault=None).run()
+        )
+        assert "fault" not in ServingSimulation(config).run()
 
     def test_replay_equivalence_holds_under_fault(self):
         config = _fault_config(channels=2)
         trace = record_serving_trace(config)
         fault = ChannelFault(channel=1, kind="fail", at_slice=2)
-        closed = run_serving(config, fault=fault)
+        closed = ServingSimulation(config, fault=fault).run()
         replayed = replay_trace(trace, config=config, fault=fault)
         assert replay_neutral(replayed) == replay_neutral(closed)
 
     def test_stall_fault_inflates_makespan(self):
         config = _fault_config(channels=2)
-        clean = run_serving(config)
-        stalled = run_serving(
+        clean = ServingSimulation(config).run()
+        stalled = ServingSimulation(
             config,
             fault=ChannelFault(
                 channel=0, kind="stall", at_slice=0, stall_ns=5e7
             ),
-        )
+        ).run()
         assert stalled["makespan_ns"] > clean["makespan_ns"]
         assert stalled["fault"]["kind"] == "stall"
         assert stalled["fault"]["conserved"]
@@ -335,7 +337,7 @@ class TestChannelFaults:
             scaling=ScalingConfig(max_channels=4, p99_target_ns=1e6),
         )
         fault = ChannelFault(channel=1, kind="fail", at_slice=2)
-        payload = run_serving(config, fault=fault)
+        payload = ServingSimulation(config, fault=fault).run()
         scaling = payload["scaling"]
         assert scaling.get("forced"), "no tenant was force-spilled"
         # Spilled replicas are served on spares, not shed wholesale:

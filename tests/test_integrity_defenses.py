@@ -26,7 +26,7 @@ import pytest
 
 from repro.controller import MemoryController
 from repro.defenses import DNNDefender, Radar
-from repro.defenses.builders import resolve_serving_defense
+from repro.defenses.stack import build_stack
 from repro.dram import DRAMConfig, DRAMDevice, VulnerabilityMap
 from repro.eval.harness import bakeoff_scenarios
 from repro.eval.runners import _run_defense_bakeoff
@@ -289,8 +289,8 @@ class TestDefendedAttackPath:
         assert defended["final_accuracy"] == defended["clean_accuracy"]
 
     def test_unknown_defense_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_serving_defense("Tinfoil")
+        with pytest.raises(ValueError, match="unknown defense"):
+            build_stack("Tinfoil")
 
     def test_bakeoff_set_shape(self):
         scenarios = bakeoff_scenarios()

@@ -27,6 +27,7 @@ from repro.eval.regression import compare
 from repro.locker.locker import DRAMLocker, LockerConfig
 from repro.serving import (
     ServingConfig,
+    ServingSimulation,
     ShardedMemorySystem,
     StreamingPercentiles,
     TenantSink,
@@ -34,7 +35,6 @@ from repro.serving import (
     WorkloadConfig,
     WorkloadGenerator,
     make_tenants,
-    run_serving,
     zipf_weights,
 )
 
@@ -224,7 +224,7 @@ class TestSingleChannelEquivalence:
         system = ShardedMemorySystem(
             config.with_channels(1),
             trh=trh,
-            protected=True,
+            defense="DRAM-Locker",
             locker_config=locker_config,
             seed=seed,
         )
@@ -321,7 +321,9 @@ class TestSingleChannelEquivalence:
 class TestServingRuns:
     def test_payload_deterministic(self):
         config = ServingConfig(channels=2, slices=8, seed=11)
-        assert run_serving(config) == run_serving(config)
+        assert (
+            ServingSimulation(config).run() == ServingSimulation(config).run()
+        )
 
     def test_worker_count_invariance(self):
         """The harness property, on serving cells: the results section
@@ -351,9 +353,9 @@ class TestServingRuns:
         from 1 to 4 channels with per-channel protection intact."""
         rps = {}
         for channels in (1, 4):
-            payload = run_serving(
+            payload = ServingSimulation(
                 ServingConfig(channels=channels, slices=12, seed=0)
-            )
+            ).run()
             rps[channels] = payload["sla"]["aggregate"]["requests_per_sim_sec"]
             assert payload["victim"]["victim_flip_events"] == 0
             assert payload["sla"]["aggregate"]["blocked"] > 0
@@ -368,7 +370,7 @@ class TestServingRuns:
         """Under block interleaving every tenant partition must stay
         inside one channel's tenant zone -- never touching the victim
         locals below TENANT_FIRST_LOCAL of *any* channel."""
-        from repro.serving.engine import TENANT_FIRST_LOCAL, ServingSimulation
+        from repro.serving.engine import TENANT_FIRST_LOCAL
 
         for channels, tenants in ((4, 6), (2, 3), (4, 2)):
             sim = ServingSimulation(
@@ -390,15 +392,17 @@ class TestServingRuns:
         assert payload["victim"]["victim_flip_events"] == 0
 
     def test_undefended_victims_take_flips(self):
-        payload = run_serving(
-            ServingConfig(channels=2, slices=12, seed=0), protected=False
-        )
+        payload = ServingSimulation(
+            ServingConfig(channels=2, slices=12, seed=0, defense="None")
+        ).run()
         assert payload["victim"]["victim_flip_events"] > 0
         assert payload["sla"]["aggregate"]["blocked"] == 0
         assert "locker" not in payload["sla"]
 
     def test_sla_report_shape(self):
-        payload = run_serving(ServingConfig(channels=1, slices=8, seed=0))
+        payload = ServingSimulation(
+            ServingConfig(channels=1, slices=8, seed=0)
+        ).run()
         tenants = payload["sla"]["tenants"]
         assert "attacker" in tenants and "victim-owner" in tenants
         tenant0 = tenants["tenant-0"]

@@ -26,7 +26,7 @@ from repro.eval.harness import (
     serving_scenarios,
 )
 from repro.locker import DRAMLocker, LockerConfig
-from repro.serving import HealthConfig, ServingConfig, run_serving
+from repro.serving import HealthConfig, ServingConfig, ServingSimulation
 
 
 @pytest.fixture(autouse=True)
@@ -105,7 +105,7 @@ def test_controller_state_identical_with_telemetry_on_and_off(
 # On/off bit-identity: whole serving payloads
 # ----------------------------------------------------------------------
 def _serving_payload(engine, defense):
-    return run_serving(
+    return ServingSimulation(
         ServingConfig(
             tenants=3,
             channels=2,
@@ -116,8 +116,7 @@ def _serving_payload(engine, defense):
             seed=1,
             defense=defense,
         ),
-        protected=defense == "DRAM-Locker",
-    )
+    ).run()
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
@@ -139,11 +138,8 @@ def _chaos_audit_snapshot(engine, victim):
     """Canonical audit snapshot of a RADAR serving cell with a
     co-located attacker and a deterministic weight-row corruption
     injected at slice boundary 3."""
-    from repro.defenses.builders import resolve_serving_defense
-
-    protected, builder = resolve_serving_defense("RADAR")
     with obs.enabled_scope() as tel:
-        payload = run_serving(
+        payload = ServingSimulation(
             ServingConfig(
                 channels=1,
                 slices=12,
@@ -153,13 +149,11 @@ def _chaos_audit_snapshot(engine, victim):
                 seed=0,
                 defense="RADAR",
             ),
-            protected=protected,
-            defense_builder=builder,
             model_victim=victim,
             health=HealthConfig(
                 probe_interval=4, quarantine_slices=1, inject_at=(3,)
             ),
-        )
+        ).run()
     assert payload["health"]["all_injections_detected"]
     return tel.audit.snapshot(), tel.audit.kind_counts()
 
